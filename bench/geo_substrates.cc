@@ -6,7 +6,8 @@
 // Mode argument convention (tools/bench_to_json.py --suite geometry):
 // 0 = baseline (seed path: rebuild / independent / cold), 1 = variant
 // (incremental / shared / warm). Both paths produce identical results —
-// bit-identical for cuts and AA geometry, verdict-identical for the sweep.
+// bit-identical for cuts and AA rectangles, verdict-identical for the sweep.
+// Each baseline is built from public API: production code has one path.
 //
 // Cut normals come from hypercube-uniform item pairs (PreferenceHalfspace),
 // matching src/data/synthetic.cc: generic-position inputs keep the
@@ -16,13 +17,14 @@
 // CentralArrangementDegradesBitIdentical).
 #include <benchmark/benchmark.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/aa_state.h"
 #include "geometry/convex_hull.h"
 #include "geometry/halfspace.h"
 #include "geometry/polyhedron.h"
+#include "lp/simplex.h"
 
 namespace isrl {
 namespace {
@@ -43,20 +45,27 @@ Halfspace RandomItemCut(Rng& rng, const Vec& u, size_t d) {
 // ---- Cut sequences: incremental adjacency maintenance vs full rebuild.
 // The rebuild baseline enumerates C(d + k − 1, d − 1) subsets on the k-th
 // cut; the incremental path touches only dead vertices and their incident
-// edges. Dimensions stay ≤ 6 so the baseline finishes. ----
+// edges. The baseline round-trips the polyhedron through its snapshot parts
+// before each cut: the restored copy has no adjacency structure, so the cut
+// re-enumerates in full. ----
 void BM_GeoCutSequence(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const bool incremental = state.range(1) == 1;
   const size_t kCuts = 12;
-  Polyhedron::Options options;
-  options.incremental = incremental;
   Rng rng(100 + d);
   const Vec u = rng.SimplexUniform(d);
   std::vector<Halfspace> cuts;
   for (size_t i = 0; i < kCuts; ++i) cuts.push_back(RandomItemCut(rng, u, d));
   for (auto _ : state) {
-    Polyhedron p = Polyhedron::UnitSimplex(d, options);
-    for (const Halfspace& h : cuts) p.Cut(h);
+    Polyhedron p = Polyhedron::UnitSimplex(d);
+    for (const Halfspace& h : cuts) {
+      if (!incremental) {
+        Result<Polyhedron> restored =
+            Polyhedron::FromSnapshotParts(d, p.cuts(), p.vertices());
+        p = std::move(restored.value());
+      }
+      p.Cut(h);
+    }
     benchmark::DoNotOptimize(p.vertices());
   }
 }
@@ -74,17 +83,18 @@ BENCHMARK(BM_GeoCutSequence)
     ->Args({8, 0})
     ->Args({8, 1});
 
-// ---- AA geometry at the fig14 operating points: the 2d rectangle-extent
-// LPs solved independently (seed path) vs through lp::FamilySolver, which
-// runs simplex phase 1 once per escalation rung and replays it per member.
-// This is the dominant per-round LP cost of AA at high d. ----
+// ---- AA rectangle at the fig14 operating points: the 2d rectangle-extent
+// LPs of ComputeAaGeometry, each solved alone by lp::SolveWithRecovery (seed
+// path) vs all through one lp::FamilySolver, which runs simplex phase 1 once
+// per escalation rung and replays it per member. This is the dominant
+// per-round LP cost of AA at high d. Only the 2d solves are timed. ----
 void BM_GeoAaGeometry(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const bool shared = state.range(1) == 1;
   const size_t kHalfspaces = 32;
   Rng rng(200 + d);
   Vec u = rng.SimplexUniform(d);
-  std::vector<LearnedHalfspace> h;
+  std::vector<Halfspace> h;
   while (h.size() < kHalfspaces) {
     Vec a(d), b(d);
     for (size_t c = 0; c < d; ++c) {
@@ -92,14 +102,33 @@ void BM_GeoAaGeometry(benchmark::State& state) {
       b[c] = rng.Uniform(0.0, 1.0);
     }
     const bool pref = Dot(u, a) >= Dot(u, b);
-    LearnedHalfspace lh;
-    lh.h = PreferenceHalfspace(pref ? a : b, pref ? b : a);
-    h.push_back(lh);
+    h.push_back(PreferenceHalfspace(pref ? a : b, pref ? b : a));
+  }
+  // min/max u[i] over U ∩ H, modelled as ComputeAaGeometry models them.
+  std::vector<lp::Model> models;
+  for (size_t i = 0; i < d; ++i) {
+    for (const lp::Sense sense : {lp::Sense::kMinimize, lp::Sense::kMaximize}) {
+      lp::Model model;
+      for (size_t v = 0; v < d; ++v) model.AddVariable(v == i ? 1.0 : 0.0);
+      model.SetSense(sense);
+      model.AddConstraint(Vec(d, 1.0), lp::Relation::kEq, 1.0);
+      for (const Halfspace& hs : h) {
+        model.AddConstraint(hs.normal, lp::Relation::kGe, hs.offset);
+      }
+      models.push_back(std::move(model));
+    }
   }
   for (auto _ : state) {
-    AaGeometry geo = ComputeAaGeometry(d, h, /*max_lp_iterations=*/0,
-                                       /*share_rectangle_lps=*/shared);
-    benchmark::DoNotOptimize(geo);
+    double sum = 0.0;
+    if (shared) {
+      lp::FamilySolver family;
+      for (const lp::Model& model : models) sum += family.Solve(model).objective;
+    } else {
+      for (const lp::Model& model : models) {
+        sum += lp::SolveWithRecovery(model).objective;
+      }
+    }
+    benchmark::DoNotOptimize(sum);
   }
 }
 BENCHMARK(BM_GeoAaGeometry)

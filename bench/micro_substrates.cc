@@ -166,20 +166,16 @@ void BM_DqnUpdate(benchmark::State& state) {
 BENCHMARK(BM_DqnUpdate);
 
 // ---- Scalar vs batched execution (DESIGN.md §12). ----
-// Arg 0 of each pair selects the path: 0 = scalar reference, 1 = batched.
+// Arg 1 of each pair selects the path: 0 = scalar reference, 1 = batched.
 // Both paths produce bit-identical numbers; only the kernel shape differs.
 
-rl::DqnOptions PathOptions(int64_t mode) {
-  rl::DqnOptions opt;
-  opt.batched_execution = mode == 1;
-  return opt;
-}
-
-// One Q-network forward per candidate vs one GEMM per layer for the pool.
+// One Q-network Infer per candidate vs the agent's greedy selection, one
+// GEMM per layer for the whole pool.
 void BM_DqnScoreCandidates(benchmark::State& state) {
   const size_t pool = static_cast<size_t>(state.range(0));
+  const bool batched = state.range(1) == 1;
   Rng rng(14);
-  rl::DqnAgent agent(33, PathOptions(state.range(1)), rng);
+  rl::DqnAgent agent(33, rl::DqnOptions(), rng);
   std::vector<Vec> candidates;
   candidates.reserve(pool);
   for (size_t i = 0; i < pool; ++i) {
@@ -187,8 +183,22 @@ void BM_DqnScoreCandidates(benchmark::State& state) {
     for (size_t j = 0; j < 33; ++j) c[j] = rng.Uniform(0, 1);
     candidates.push_back(std::move(c));
   }
+  nn::Network& net = agent.main_network();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.SelectGreedy(candidates));
+    if (batched) {
+      benchmark::DoNotOptimize(agent.SelectGreedy(candidates));
+    } else {
+      size_t best = 0;
+      double best_q = net.Infer(candidates[0]);
+      for (size_t i = 1; i < pool; ++i) {
+        const double q = net.Infer(candidates[i]);
+        if (q > best_q) {
+          best_q = q;
+          best = i;
+        }
+      }
+      benchmark::DoNotOptimize(best);
+    }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(pool));
@@ -202,21 +212,19 @@ BENCHMARK(BM_DqnScoreCandidates)
     ->Args({256, 1});
 
 // The full training update at batch_size 64: TD-target computation, forward,
-// backward. The headline number for the batched hot path. The second arg
-// picks the activation: SELU (the paper default) spends most of the pass in
-// std::exp — an identical per-element cost on both paths that compresses the
-// visible kernel speedup — while ReLU (the in-tree ablation) shows the
-// GEMM-bound ratio. The third arg is the next-candidate pool size per
+// backward. The first arg picks the activation: SELU (the paper default)
+// spends most of the pass in std::exp, while ReLU (the in-tree ablation) is
+// GEMM-bound. The second arg is the next-candidate pool size per
 // non-terminal transition: 8 matches the paper's m_h ≈ 5 action space, 64 is
 // the large-action-space configuration where the TD-target stack dominates.
 void BM_DqnUpdateBatch64(benchmark::State& state) {
   Rng rng(15);
-  rl::DqnOptions opt = PathOptions(state.range(0));
+  rl::DqnOptions opt;
   opt.activation =
-      state.range(1) == 1 ? nn::Activation::kRelu : nn::Activation::kSelu;
+      state.range(0) == 1 ? nn::Activation::kRelu : nn::Activation::kSelu;
   opt.batch_size = 64;
   opt.min_replay_before_update = 64;
-  const int pool = static_cast<int>(state.range(2));
+  const int pool = static_cast<int>(state.range(1));
   rl::DqnAgent agent(33, opt, rng);
   for (int i = 0; i < 512; ++i) {
     rl::Transition t;
@@ -239,14 +247,10 @@ void BM_DqnUpdateBatch64(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64);
 }
 BENCHMARK(BM_DqnUpdateBatch64)
-    ->Args({0, 0, 8})
-    ->Args({1, 0, 8})
-    ->Args({0, 1, 8})
-    ->Args({1, 1, 8})
-    ->Args({0, 0, 64})
-    ->Args({1, 0, 64})
-    ->Args({0, 1, 64})
-    ->Args({1, 1, 64});
+    ->Args({0, 8})
+    ->Args({1, 8})
+    ->Args({0, 64})
+    ->Args({1, 64});
 
 // Raw network substrate: scalar Predict loop vs one PredictBatch call.
 void BM_NnPredictBatch(benchmark::State& state) {

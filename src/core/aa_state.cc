@@ -27,8 +27,7 @@ lp::SimplexOptions LpOptions(size_t max_lp_iterations) {
 size_t AaStateDim(size_t d) { return 3 * d + 1; }
 
 AaGeometry ComputeAaGeometry(size_t d, const std::vector<LearnedHalfspace>& h,
-                             size_t max_lp_iterations,
-                             bool share_rectangle_lps) {
+                             size_t max_lp_iterations) {
   AaGeometry geo;
   const lp::SimplexOptions lp_options = LpOptions(max_lp_iterations);
 
@@ -66,10 +65,9 @@ AaGeometry ComputeAaGeometry(size_t d, const std::vector<LearnedHalfspace>& h,
   }
 
   // ---- Outer rectangle: 2d LPs min/max u[i] over U ∩ H. All 2d models
-  // share their constraint rows and differ only in objective, so the shared
-  // path runs simplex phase 1 once and replays it per member; every answer
-  // is bit-identical to the per-LP seed path (DESIGN.md §17), which stays
-  // reachable as the benchmark baseline. ----
+  // share their constraint rows and differ only in objective, so the family
+  // solver runs simplex phase 1 once and replays it per member; every answer
+  // is bit-identical to solving that model alone (DESIGN.md §17). ----
   geo.e_min = Vec(d);
   geo.e_max = Vec(d);
   lp::FamilySolver family(lp_options);
@@ -85,9 +83,7 @@ AaGeometry ComputeAaGeometry(size_t d, const std::vector<LearnedHalfspace>& h,
       for (const LearnedHalfspace& lh : h) {
         model.AddConstraint(lh.h.normal, lp::Relation::kGe, lh.h.offset);
       }
-      lp::SolveResult result = share_rectangle_lps
-                                   ? family.Solve(model)
-                                   : lp::SolveWithRecovery(model, lp_options);
+      lp::SolveResult result = family.Solve(model);
       if (!result.ok()) return geo;
       if (direction == 0) {
         geo.e_min[i] = result.objective;

@@ -40,14 +40,13 @@ struct AaGeometry {
 /// half-spaces are skipped rather than fatal.
 ///
 /// The 2d rectangle LPs share constraint structure and differ only in
-/// objective, so by default they run through lp::FamilySolver, which runs
-/// simplex phase 1 once and replays it per member — each answer stays
-/// bit-identical to its own SolveWithRecovery (DESIGN.md §17), so encoded AA
-/// states and checkpoints are unchanged. `share_rectangle_lps = false`
-/// forces the independent per-LP seed path (the benchmark baseline).
+/// objective, so they run through lp::FamilySolver, which runs simplex
+/// phase 1 once and replays it per member — each answer stays bit-identical
+/// to its own SolveWithRecovery (DESIGN.md §17), so encoded AA states and
+/// checkpoints are unchanged.
 [[nodiscard]] AaGeometry ComputeAaGeometry(
     size_t d, const std::vector<LearnedHalfspace>& h,
-    size_t max_lp_iterations = 0, bool share_rectangle_lps = true);
+    size_t max_lp_iterations = 0);
 
 /// Largest margin x such that some u ∈ U satisfies every half-space of `h`
 /// plus `candidate` with slack ≥ x (the Section IV-C feasibility LP). R ∩

@@ -501,10 +501,6 @@ Result<SessionStore> SessionStore::Deserialize(const std::string& bytes) {
   return store;
 }
 
-Status SessionStore::SaveFile(const std::string& path) const {
-  return snapshot::WriteFileBytes(path, Serialize());
-}
-
 Status SessionStore::SyncFile(const std::string& path) {
   if (!epoch_synced_) {
     // First sync of this epoch: atomically replace the file with the full
@@ -525,17 +521,26 @@ Status SessionStore::SyncFile(const std::string& path) {
   for (size_t i = synced_wal_; i < wal_.size(); ++i) {
     EncodeWalRecord(wal_[i], &w);
   }
-  ISRL_RETURN_IF_ERROR(snapshot::AppendFileBytes(
-      path, snapshot::WrapFrame(kStoreWalKind, kStoreWalVersion, w.bytes())));
+  Status appended = snapshot::AppendFileBytes(
+      path, snapshot::WrapFrame(kStoreWalKind, kStoreWalVersion, w.bytes()));
+  if (!appended.ok()) {
+    // The append may have left a torn frame, and LoadFile stops reading
+    // there: nothing may be appended after it. The next sync rewrites the
+    // whole store atomically instead — the policy LoadFile applies to a
+    // torn tail.
+    epoch_synced_ = false;
+    synced_wal_ = 0;
+    return appended;
+  }
   synced_wal_ = wal_.size();
   return Status::Ok();
 }
 
 Result<SessionStore> SessionStore::LoadFile(const std::string& path) {
   ISRL_ASSIGN_OR_RETURN(std::string bytes, snapshot::ReadFileBytes(path));
-  // The leading frame must be a complete full-store frame (SaveFile and
-  // SyncFile both write it atomically, so a crash cannot tear it — if it is
-  // unreadable the file is corrupt, not torn).
+  // The leading frame must be a complete full-store frame (SyncFile writes
+  // it atomically, so a crash cannot tear it — if it is unreadable the file
+  // is corrupt, not torn).
   size_t pos = 0;
   std::string kind;
   uint32_t version = 0;

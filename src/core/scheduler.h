@@ -229,9 +229,10 @@ struct WalRecord {
 ///      of the snapshot and yields a scheduler bit-identical to the one
 ///      that crashed.
 ///
-/// Serialize()/SaveFile() persist the pair as one framed "session-store"
-/// blob; they may be called at any point (typically right after each log
-/// append, which is what DriveWithUsersDurable models).
+/// Serialize() encodes the pair as one framed "session-store" blob, and
+/// SyncFile() keeps a file of it current; either may be called at any point
+/// (typically right after each log append, which is what
+/// DriveWithUsersDurable models).
 ///
 /// Like SessionScheduler, a SessionStore is externally synchronized: the
 /// sharded engine guards each shard's store with the same `exec_mu`
@@ -255,23 +256,19 @@ class SessionStore {
   std::string Serialize() const;
   static Result<SessionStore> Deserialize(const std::string& bytes);
 
-  /// Full rewrite (atomic via snapshot::WriteFileBytes). O(population +
-  /// whole WAL) per call — fine for a final save, quadratic when called per
-  /// answer; serving loops use SyncFile instead.
-  Status SaveFile(const std::string& path) const;
-
-  /// Incremental durable persistence for the serving loop. The first call
-  /// after BeginEpoch (or on a fresh store) atomically rewrites `path` with
-  /// the full store; later calls append ONLY the WAL records logged since
-  /// the previous sync, as framed delta records, then fsync — O(new
-  /// answers) per call instead of O(population + whole log). Call after
-  /// LogAnswer/LogCancel and before applying the answer to keep the
-  /// write-ahead contract durable on disk, not just in memory.
+  /// Durable persistence. The first call after BeginEpoch (or on a fresh
+  /// store) atomically rewrites `path` with the full store; later calls
+  /// append ONLY the WAL records logged since the previous sync, as framed
+  /// delta records, then fsync — O(new answers) per call instead of
+  /// O(population + whole log). Call after LogAnswer/LogCancel and before
+  /// applying the answer to keep the write-ahead contract durable on disk,
+  /// not just in memory. A failed write may leave a torn tail, so it resets
+  /// the cursor: the next call rewrites the whole file atomically again.
   Status SyncFile(const std::string& path);
 
-  /// Reads a store file written by SaveFile (one full-store frame — the
-  /// legacy format) or by SyncFile (a full-store frame followed by delta
-  /// frames). A torn or corrupted tail — the expected shape of a crash
+  /// Reads a store file: a full-store frame followed by the delta frames
+  /// SyncFile appended (a lone full-store frame, as older builds also
+  /// wrote, is the zero-delta case). A torn or corrupted tail — the expected shape of a crash
   /// mid-append — is discarded at the last complete frame; a file whose
   /// leading full-store frame is unreadable is an error.
   static Result<SessionStore> LoadFile(const std::string& path);

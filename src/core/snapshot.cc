@@ -433,8 +433,8 @@ Result<Polyhedron> DecodePolyhedron(Reader* r) {
     vertices.push_back(std::move(v));
   }
   ISRL_RETURN_IF_ERROR(Finish(*r, "polyhedron snapshot"));
-  Result<Polyhedron> p = Polyhedron::FromSnapshotParts(
-      dim, Polyhedron::Options(), std::move(cuts), std::move(vertices));
+  Result<Polyhedron> p =
+      Polyhedron::FromSnapshotParts(dim, std::move(cuts), std::move(vertices));
   if (!p.ok()) r->Fail(p.status().message());
   return p;
 }

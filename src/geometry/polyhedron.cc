@@ -13,9 +13,13 @@
 namespace isrl {
 namespace {
 
+// A subset solution counts as feasible when no constraint is violated by
+// more than this; two solutions closer than kDedupTol are one vertex.
+constexpr double kFeasibilityTol = 1e-9;
+constexpr double kDedupTol = 1e-7;
 // Guard band for the simple-position certificate: a constraint counts as
 // strictly slack at a vertex only when its margin exceeds this × the
-// constraint scale. The band is one dedup_tol wide, so two subset solutions
+// constraint scale. The band is one kDedupTol wide, so two subset solutions
 // closer than the dedup distance can never both be certified (DESIGN.md §17).
 constexpr double kSlackGuard = 1e-7;
 // Residual bound for a constraint claimed tight at a vertex; well above the
@@ -108,9 +112,8 @@ struct EnumerationResult {
   bool dedup_fired = false;
 };
 
-void EnumerateFromScratch(size_t dim, const Polyhedron::Options& options,
-                          const std::vector<Halfspace>& cuts, bool track,
-                          EnumerationResult* out) {
+void EnumerateFromScratch(size_t dim, const std::vector<Halfspace>& cuts,
+                          bool track, EnumerationResult* out) {
   out->vertices.clear();
   out->facets.clear();
   out->dedup_fired = false;
@@ -139,7 +142,7 @@ void EnumerateFromScratch(size_t dim, const Polyhedron::Options& options,
     for (size_t idx = 0; idx < num_ineq; ++idx) {
       double margin = -ineq_offset(idx);
       for (size_t c = 0; c < dim; ++c) margin += ineq_normal(idx, c) * u[c];
-      if (margin < -options.feasibility_tol) return false;
+      if (margin < -kFeasibilityTol) return false;
     }
     return true;
   };
@@ -155,7 +158,7 @@ void EnumerateFromScratch(size_t dim, const Polyhedron::Options& options,
     if (SolveLinearSystem(a, b, &x) && feasible(x)) {
       bool duplicate = false;
       for (const Vec& v : out->vertices) {
-        if (ApproxEqual(v, x, options.dedup_tol)) {
+        if (ApproxEqual(v, x, kDedupTol)) {
           duplicate = true;
           break;
         }
@@ -188,17 +191,13 @@ void EnumerateFromScratch(size_t dim, const Polyhedron::Options& options,
 }  // namespace
 
 Polyhedron Polyhedron::UnitSimplex(size_t d) {
-  return UnitSimplex(d, Options());
-}
-
-Polyhedron Polyhedron::UnitSimplex(size_t d, Options options) {
   ISRL_CHECK_GE(d, 2u);
-  Polyhedron p(d, options);
-  p.EnumerateVertices(options.incremental);
+  Polyhedron p(d);
+  p.EnumerateVertices();
   return p;
 }
 
-Result<Polyhedron> Polyhedron::FromSnapshotParts(size_t d, Options options,
+Result<Polyhedron> Polyhedron::FromSnapshotParts(size_t d,
                                                  std::vector<Halfspace> cuts,
                                                  std::vector<Vec> vertices) {
   if (d < 2) {
@@ -210,10 +209,10 @@ Result<Polyhedron> Polyhedron::FromSnapshotParts(size_t d, Options options,
           "polyhedron snapshot: cut normal dimension mismatch");
     }
   }
-  Polyhedron p(d, options);
+  Polyhedron p(d);
   p.cuts_ = std::move(cuts);
   // Containment at a loose tolerance: snapshot vertices were enumerated at
-  // feasibility_tol, so an honest snapshot passes easily, while corrupted
+  // kFeasibilityTol, so an honest snapshot passes easily, while corrupted
   // coordinates (bit flips survive CRC only if re-framed) are rejected.
   const double tol = 1e-6;
   for (const Vec& v : vertices) {
@@ -234,7 +233,7 @@ void Polyhedron::Cut(const Halfspace& h) {
   // wastes enumeration work; skip it outright.
   bool all_strictly_inside = !vertices_.empty();
   for (const Vec& v : vertices_) {
-    if (h.Margin(v) <= options_.feasibility_tol) {
+    if (h.Margin(v) <= kFeasibilityTol) {
       all_strictly_inside = false;
       break;
     }
@@ -248,18 +247,14 @@ void Polyhedron::Cut(const Halfspace& h) {
   double proxy_before = 0.0;
   if (auditing && had_vertices) proxy_before = Diameter();
   cuts_.push_back(h);
-  bool incremental_done = false;
-  if (options_.incremental && adjacency_valid_) {
-    incremental_done = TryIncrementalCut();
-  }
+  const bool incremental_done = adjacency_valid_ && TryIncrementalCut();
   if (!incremental_done) {
-    EnumerateVertices(options_.incremental);
+    EnumerateVertices();
   } else if (audit::ShouldCheck(audit::Checker::kPolyhedronAdjacency)) {
     // Audit-gated reference: re-run the seed enumeration from scratch and
-    // demand bitwise agreement with the incremental result (the analogue of
-    // PR 4's scalar NN reference path).
+    // demand bitwise agreement with the incremental result.
     EnumerationResult ref;
-    EnumerateFromScratch(dim_, options_, cuts_, /*track=*/false, &ref);
+    EnumerateFromScratch(dim_, cuts_, /*track=*/false, &ref);
     std::vector<std::string> problems;
     if (ref.vertices.size() != vertices_.size()) {
       problems.push_back("incremental vertex count " +
@@ -285,7 +280,7 @@ void Polyhedron::Cut(const Halfspace& h) {
   DropRedundantCuts();
   if (auditing) {
     std::vector<std::string> problems = audit::CheckPolyhedronVertices(
-        dim_, cuts_, vertices_, 10.0 * options_.feasibility_tol);
+        dim_, cuts_, vertices_, 10.0 * kFeasibilityTol);
     if (had_vertices && !vertices_.empty()) {
       std::vector<std::string> monotone = audit::CheckCutMonotonicity(
           proxy_before, Diameter(), 1e-7);
@@ -358,13 +353,12 @@ double Polyhedron::Diameter() const {
   return best;
 }
 
-void Polyhedron::EnumerateVertices(bool track_adjacency) {
+void Polyhedron::EnumerateVertices() {
   EnumerationResult result;
-  EnumerateFromScratch(dim_, options_, cuts_, track_adjacency, &result);
+  EnumerateFromScratch(dim_, cuts_, /*track=*/true, &result);
   vertices_ = std::move(result.vertices);
   facets_.clear();
   adjacency_valid_ = false;
-  if (!track_adjacency) return;
   // Certify simple position: no dedup event (a dedup hides a subset solution
   // and breaks the one-subset-per-vertex invariant), every vertex strictly
   // slack outside its facet set, and a complete edge graph (every edge has
@@ -439,12 +433,12 @@ bool Polyhedron::TryIncrementalCut() {
     if (!SolveLinearSystem(a, b, &x)) return false;
     if (!CertifyVertex(dim_, cuts_, x, subset)) return false;
     for (size_t i = 0; i < vertices_.size(); ++i) {
-      if (!dead[i] && ApproxEqual(vertices_[i], x, options_.dedup_tol)) {
+      if (!dead[i] && ApproxEqual(vertices_[i], x, kDedupTol)) {
         return false;
       }
     }
     for (const Vec& f : fresh) {
-      if (ApproxEqual(f, x, options_.dedup_tol)) return false;
+      if (ApproxEqual(f, x, kDedupTol)) return false;
     }
     fresh.push_back(x);
     fresh_facets.push_back(subset);

@@ -22,7 +22,9 @@
 // near-duplicate vertex) falls back to the full combinatorial enumeration,
 // which doubles as the adjacency (re)builder. Results are therefore always
 // bit-identical to the seed path, which is retained as the audit-gated
-// reference (and as the `incremental = false` baseline for benchmarks).
+// reference. Tests and benchmarks reach that reference through
+// FromSnapshotParts(d, cuts(), vertices()): the restored copy carries no
+// adjacency, so its next Cut() re-enumerates in full.
 #ifndef ISRL_GEOMETRY_POLYHEDRON_H_
 #define ISRL_GEOMETRY_POLYHEDRON_H_
 
@@ -40,21 +42,8 @@ namespace isrl {
 /// and incremental vertex–facet adjacency maintenance across cuts.
 class Polyhedron {
  public:
-  /// Numeric tolerances for tightness / feasibility classification.
-  struct Options {
-    double feasibility_tol = 1e-9;
-    double dedup_tol = 1e-7;
-    /// When true (the default), Cut() updates the vertex set incrementally
-    /// through the adjacency structure whenever the update can be certified
-    /// bit-identical to a full re-enumeration, falling back otherwise. When
-    /// false, every cut re-enumerates from the full H-rep (the seed path —
-    /// kept as the benchmark baseline and audit reference).
-    bool incremental = true;
-  };
-
   /// The whole utility space U (the unit simplex) in d dimensions, d ≥ 2.
   static Polyhedron UnitSimplex(size_t d);
-  static Polyhedron UnitSimplex(size_t d, Options options);
 
   /// Rebuilds a polyhedron from checkpointed cuts + vertices (core/snapshot
   /// codec). The vertex set is adopted verbatim — NOT re-enumerated — so a
@@ -65,7 +54,7 @@ class Polyhedron {
   /// NOT serialized: it is rebuilt deterministically by the first Cut()
   /// after restore (which re-enumerates), so snapshot bytes and
   /// restart-at-every-round bit-identity are unchanged (DESIGN.md §17).
-  static Result<Polyhedron> FromSnapshotParts(size_t d, Options options,
+  static Result<Polyhedron> FromSnapshotParts(size_t d,
                                               std::vector<Halfspace> cuts,
                                               std::vector<Vec> vertices);
 
@@ -126,13 +115,12 @@ class Polyhedron {
   [[nodiscard]] double Diameter() const;
 
  private:
-  Polyhedron(size_t d, Options options) : dim_(d), options_(options) {}
+  explicit Polyhedron(size_t d) : dim_(d) {}
 
   /// Full combinatorial vertex enumeration from the current constraint set
-  /// (the seed path). With `track_adjacency`, also records each vertex's
-  /// tight-facet set and certifies simple position (setting
-  /// adjacency_valid_); without, clears the structure.
-  void EnumerateVertices(bool track_adjacency);
+  /// (the seed path). Also records each vertex's tight-facet set and
+  /// certifies simple position, setting adjacency_valid_.
+  void EnumerateVertices();
 
   /// One incremental update for the just-appended cut. Returns false —
   /// leaving vertices_/facets_ untouched — whenever the update cannot be
@@ -145,7 +133,6 @@ class Polyhedron {
   void DropRedundantCuts();
 
   size_t dim_;
-  Options options_;
   std::vector<Halfspace> cuts_;
   std::vector<Vec> vertices_;
   /// Tight-facet set per vertex (see vertex_facets()); maintained sorted by

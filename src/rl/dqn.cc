@@ -55,24 +55,6 @@ Vec DqnAgent::QValues(const std::vector<Vec>& candidate_features) {
   return main_.PredictBatch(candidate_features);
 }
 
-size_t DqnAgent::SelectGreedy(const std::vector<Vec>& candidate_features) {
-  ISRL_CHECK(!candidate_features.empty());
-  if (options_.batched_execution) {
-    return QValues(candidate_features).ArgMax();
-  }
-  // Scalar reference path (inference mode: action scoring never backprops).
-  size_t best = 0;
-  double best_q = main_.Infer(candidate_features[0]);
-  for (size_t i = 1; i < candidate_features.size(); ++i) {
-    double q = main_.Infer(candidate_features[i]);
-    if (q > best_q) {
-      best_q = q;
-      best = i;
-    }
-  }
-  return best;
-}
-
 Vec DqnAgent::ScoreCandidates(const Matrix& candidate_features) {
   ISRL_CHECK_GE(candidate_features.rows(), 1u);
   ISRL_CHECK_EQ(candidate_features.cols(), input_dim_);
@@ -105,32 +87,6 @@ void DqnAgent::Remember(Transition t) {
     prioritized_.Add(t);
   }
   replay_.Add(std::move(t));
-}
-
-double DqnAgent::TargetFor(const Transition& t) {
-  double target = t.reward;
-  if (t.terminal || t.next_candidates.empty()) return target;
-  double best_next;
-  if (options_.double_dqn) {
-    // Double DQN: the main network chooses the next action, the target
-    // network scores it — removes the max-operator overestimation bias.
-    size_t best = 0;
-    double best_main = main_.Infer(t.next_candidates[0]);
-    for (size_t i = 1; i < t.next_candidates.size(); ++i) {
-      double q = main_.Infer(t.next_candidates[i]);
-      if (q > best_main) {
-        best_main = q;
-        best = i;
-      }
-    }
-    best_next = target_.Infer(t.next_candidates[best]);
-  } else {
-    best_next = target_.Infer(t.next_candidates[0]);
-    for (size_t i = 1; i < t.next_candidates.size(); ++i) {
-      best_next = std::max(best_next, target_.Infer(t.next_candidates[i]));
-    }
-  }
-  return target + options_.gamma * best_next;
 }
 
 Vec DqnAgent::TargetsFor(const std::vector<const Transition*>& batch) {
@@ -195,63 +151,35 @@ Vec DqnAgent::TargetsFor(const std::vector<const Transition*>& batch) {
   return targets;
 }
 
-double DqnAgent::UpdateUniform(Rng& rng) {
-  std::vector<const Transition*> batch =
-      replay_.Sample(options_.batch_size, rng);
-  const double delta = options_.loss == LossKind::kHuber ? options_.huber_delta
-                                                         : 0.0;
-  double loss_sum = 0.0;
-  if (options_.batched_execution) {
-    Matrix inputs(batch.size(), input_dim_);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const double* src = batch[i]->state_action.raw();
-      std::copy(src, src + input_dim_, inputs.row(i));
+double DqnAgent::FitSampledBatch(Rng& rng) {
+  // Prioritized replay draws weighted handles whose priorities are refreshed
+  // from the fit's errors; uniform replay leaves `weights` empty (all 1).
+  std::vector<PrioritizedSample> handles;
+  std::vector<const Transition*> batch;
+  Vec weights;
+  if (options_.prioritized_replay) {
+    handles = prioritized_.Sample(options_.batch_size, rng);
+    weights = Vec(handles.size());
+    for (size_t i = 0; i < handles.size(); ++i) {
+      batch.push_back(handles[i].transition);
+      weights[i] = handles[i].weight;
     }
-    Vec errs =
-        main_.AccumulateRegressionBatch(inputs, TargetsFor(batch), Vec(), delta);
-    for (size_t i = 0; i < errs.dim(); ++i) loss_sum += errs[i] * errs[i];
   } else {
-    for (const Transition* t : batch) {
-      double err = main_.AccumulateRegressionSample(t->state_action,
-                                                    TargetFor(*t), 1.0, delta);
-      loss_sum += err * err;
-    }
+    batch = replay_.Sample(options_.batch_size, rng);
   }
-  optimizer_->Step(batch.size());
-  return loss_sum / static_cast<double>(batch.size());
-}
-
-double DqnAgent::UpdatePrioritized(Rng& rng) {
-  std::vector<PrioritizedSample> batch =
-      prioritized_.Sample(options_.batch_size, rng);
+  Matrix inputs(batch.size(), input_dim_);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const double* src = batch[i]->state_action.raw();
+    std::copy(src, src + input_dim_, inputs.row(i));
+  }
   const double delta = options_.loss == LossKind::kHuber ? options_.huber_delta
                                                          : 0.0;
+  Vec errs =
+      main_.AccumulateRegressionBatch(inputs, TargetsFor(batch), weights, delta);
   double loss_sum = 0.0;
-  if (options_.batched_execution) {
-    std::vector<const Transition*> transitions;
-    transitions.reserve(batch.size());
-    Matrix inputs(batch.size(), input_dim_);
-    Vec weights(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      transitions.push_back(batch[i].transition);
-      const double* src = batch[i].transition->state_action.raw();
-      std::copy(src, src + input_dim_, inputs.row(i));
-      weights[i] = batch[i].weight;
-    }
-    Vec errs = main_.AccumulateRegressionBatch(inputs, TargetsFor(transitions),
-                                               weights, delta);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      prioritized_.UpdatePriority(batch[i], errs[i]);
-      loss_sum += errs[i] * errs[i];
-    }
-  } else {
-    for (const PrioritizedSample& s : batch) {
-      double err = main_.AccumulateRegressionSample(
-          s.transition->state_action, TargetFor(*s.transition), s.weight,
-          delta);
-      prioritized_.UpdatePriority(s, err);
-      loss_sum += err * err;
-    }
+  for (size_t i = 0; i < errs.dim(); ++i) loss_sum += errs[i] * errs[i];
+  for (size_t i = 0; i < handles.size(); ++i) {
+    prioritized_.UpdatePriority(handles[i], errs[i]);
   }
   optimizer_->Step(batch.size());
   return loss_sum / static_cast<double>(batch.size());
@@ -259,8 +187,7 @@ double DqnAgent::UpdatePrioritized(Rng& rng) {
 
 double DqnAgent::Update(Rng& rng) {
   if (replay_.size() < options_.min_replay_before_update) return 0.0;
-  double loss = options_.prioritized_replay ? UpdatePrioritized(rng)
-                                            : UpdateUniform(rng);
+  const double loss = FitSampledBatch(rng);
   ++num_updates_;
   if (options_.target_sync_every > 0 &&
       num_updates_ % options_.target_sync_every == 0) {

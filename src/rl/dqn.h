@@ -57,12 +57,6 @@ struct DqnOptions {
   /// a per-round penalty keeps Q linear in the remaining rounds. Pair with
   /// a discount near 1.
   double step_penalty = 0.0;
-  /// Batched execution (DESIGN.md §12): candidate scoring, TD-target
-  /// computation, and the training forward/backward run as blocked-GEMM
-  /// batches instead of per-sample dispatches. Results are bit-identical to
-  /// the scalar path, which stays available (OFF) as the audit/teaching
-  /// reference and for the scalar-vs-batched microbenchmarks.
-  bool batched_execution = true;
 };
 
 /// DQN agent over featurised (state, action) inputs.
@@ -86,7 +80,9 @@ class DqnAgent {
   Vec QValues(const std::vector<Vec>& candidate_features);
 
   /// Index of the action with the largest main-network Q-value.
-  size_t SelectGreedy(const std::vector<Vec>& candidate_features);
+  size_t SelectGreedy(const std::vector<Vec>& candidate_features) {
+    return QValues(candidate_features).ArgMax();
+  }
 
   /// Q-values of row-stacked candidate features (one candidate per row) in
   /// one batched inference pass. This is the scoring primitive behind both
@@ -113,7 +109,10 @@ class DqnAgent {
   /// One DQN update: sample a batch, fit the main network towards
   /// r + γ·max_{a'} Q̂(s',a';Θ'), and periodically synchronise the target
   /// network. No-op until the replay holds min_replay_before_update
-  /// transitions. Returns the batch MSE (0 when skipped).
+  /// transitions. Returns the batch MSE (0 when skipped). Target computation
+  /// and the fit run as blocked-GEMM batches (DESIGN.md §12), bit-identical
+  /// to a per-sample loop of Infer/AccumulateRegressionSample calls followed
+  /// by one optimiser Step.
   double Update(Rng& rng);
 
   /// Forces Θ' ← Θ (also done automatically every target_sync_every updates).
@@ -129,16 +128,14 @@ class DqnAgent {
   size_t input_dim() const { return input_dim_; }
 
  private:
-  /// TD target for one transition under the configured (double-)DQN rule
-  /// (scalar reference path).
-  double TargetFor(const Transition& t);
-  /// TD targets for a whole sampled batch: stacks every next-candidate row
-  /// of every transition into one matrix and runs one target-net (and, for
-  /// double DQN, one main-net) batched forward for the per-transition
-  /// argmax/max. Bit-identical to per-transition TargetFor.
+  /// TD targets for a whole sampled batch under the configured (double-)DQN
+  /// rule: stacks every next-candidate row of every transition into one
+  /// matrix and runs one target-net (and, for double DQN, one main-net)
+  /// batched forward for the per-transition argmax/max.
   Vec TargetsFor(const std::vector<const Transition*>& batch);
-  double UpdateUniform(Rng& rng);
-  double UpdatePrioritized(Rng& rng);
+  /// Samples a batch from the configured replay, fits the main network to
+  /// its TD targets with one optimiser step, and returns the batch MSE.
+  double FitSampledBatch(Rng& rng);
 
   size_t input_dim_;
   DqnOptions options_;

@@ -802,7 +802,7 @@ TEST(CorruptionTest, SessionStoreFileRoundTrip) {
   store.BeginEpoch("epoch-1");
   store.LogAnswer(2, Answer::kNoAnswer);
   const std::string path = ::testing::TempDir() + "/isrl_store_rt.bin";
-  ASSERT_TRUE(store.SaveFile(path).ok());
+  ASSERT_TRUE(store.SyncFile(path).ok());
   Result<SessionStore> loaded = SessionStore::LoadFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->population(), "epoch-1");

@@ -17,6 +17,7 @@
 #include "core/terminal.h"
 #include "data/skyline.h"
 #include "data/synthetic.h"
+#include "lp/simplex.h"
 #include "user/sampler.h"
 
 namespace isrl {
@@ -419,6 +420,57 @@ TEST(AaGeometryTest, EncodedStateLayout) {
   EXPECT_NEAR(s[0] + s[1] + s[2], 1.0, 1e-7);
   EXPECT_GT(s[3], 0.0);
 }
+
+// The production rectangle runs its 2d LPs through one lp::FamilySolver,
+// which shares simplex phase 1. Each extent must still equal, bit for bit,
+// what that LP alone gives under lp::SolveWithRecovery — the reference here,
+// built model for model the way ComputeAaGeometry builds them.
+class AaRectangleProperty : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(AaRectangleProperty, MatchesIndependentSolves) {
+  const size_t d = GetParam();
+  Rng rng(400 + d);
+  const Vec u = rng.SimplexUniform(d);
+  std::vector<LearnedHalfspace> h;
+  for (int round = 0; round < 12; ++round) {
+    // A preference between two hypercube-uniform items, oriented by u so
+    // U ∩ H stays non-empty.
+    Vec a(d), b(d);
+    for (size_t c = 0; c < d; ++c) {
+      a[c] = rng.Uniform(0.0, 1.0);
+      b[c] = rng.Uniform(0.0, 1.0);
+    }
+    const bool pref = Dot(u, a) >= Dot(u, b);
+    LearnedHalfspace lh;
+    lh.h = PreferenceHalfspace(pref ? a : b, pref ? b : a);
+    h.push_back(lh);
+
+    const AaGeometry geo = ComputeAaGeometry(d, h);
+    ASSERT_TRUE(geo.feasible) << "round " << round;
+    for (size_t i = 0; i < d; ++i) {
+      for (const lp::Sense sense : {lp::Sense::kMinimize, lp::Sense::kMaximize}) {
+        lp::Model model;
+        for (size_t v = 0; v < d; ++v) model.AddVariable(v == i ? 1.0 : 0.0);
+        model.SetSense(sense);
+        model.AddConstraint(Vec(d, 1.0), lp::Relation::kEq, 1.0);
+        for (const LearnedHalfspace& learned : h) {
+          model.AddConstraint(learned.h.normal, lp::Relation::kGe,
+                              learned.h.offset);
+        }
+        const lp::SolveResult alone = lp::SolveWithRecovery(model);
+        ASSERT_TRUE(alone.ok()) << "round " << round << " coord " << i;
+        const double extent =
+            sense == lp::Sense::kMinimize ? geo.e_min[i] : geo.e_max[i];
+        EXPECT_EQ(extent, alone.objective)
+            << "round " << round << " coord " << i << " "
+            << (sense == lp::Sense::kMinimize ? "min" : "max");
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, AaRectangleProperty,
+                         ::testing::Values(2, 5, 10, 20));
 
 // ---------- AA actions ----------
 

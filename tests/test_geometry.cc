@@ -202,10 +202,25 @@ INSTANTIATE_TEST_SUITE_P(Dims, PolyhedronCutProperty,
 
 // ---------- Incremental adjacency maintenance (DESIGN.md §17) ----------
 
-Polyhedron RebuildSimplex(size_t d) {
-  Polyhedron::Options opts;
-  opts.incremental = false;
-  return Polyhedron::UnitSimplex(d, opts);
+// The seed-path reference: a polyhedron rebuilt from its own snapshot parts
+// carries no adjacency structure, so its next Cut() re-enumerates every
+// vertex from the full H-rep. The Rebuild* helpers do that before each cut.
+void RoundTrip(Polyhedron& p) {
+  Result<Polyhedron> restored =
+      Polyhedron::FromSnapshotParts(p.dim(), p.cuts(), p.vertices());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_FALSE(restored->adjacency_valid());
+  p = std::move(restored.value());
+}
+
+bool RebuildTryCut(Polyhedron& p, const Halfspace& h) {
+  RoundTrip(p);
+  return p.TryCut(h);
+}
+
+void RebuildCut(Polyhedron& p, const Halfspace& h) {
+  RoundTrip(p);
+  p.Cut(h);
 }
 
 void ExpectBitIdentical(const Polyhedron& a, const Polyhedron& b) {
@@ -246,13 +261,12 @@ TEST_P(PolyhedronIncrementalProperty, BitIdenticalToRebuildUnderRandomCuts) {
   const size_t d = GetParam();
   Rng rng(90 + d);
   Polyhedron incremental = Polyhedron::UnitSimplex(d);
-  Polyhedron rebuild = RebuildSimplex(d);
+  Polyhedron rebuild = Polyhedron::UnitSimplex(d);
   EXPECT_TRUE(incremental.adjacency_valid());
-  EXPECT_FALSE(rebuild.adjacency_valid());
   for (int round = 0; round < 12; ++round) {
     Halfspace h = RandomItemCut(rng, d);
     const bool ok_inc = incremental.TryCut(h);
-    const bool ok_ref = rebuild.TryCut(h);
+    const bool ok_ref = RebuildTryCut(rebuild, h);
     ASSERT_EQ(ok_inc, ok_ref) << "round " << round;
     ExpectBitIdentical(incremental, rebuild);
   }
@@ -273,11 +287,11 @@ TEST(PolyhedronIncrementalTest, CentralArrangementDegradesBitIdentical) {
   for (size_t d = 3; d <= 5; ++d) {
     Rng rng(90 + d);
     Polyhedron incremental = Polyhedron::UnitSimplex(d);
-    Polyhedron rebuild = RebuildSimplex(d);
+    Polyhedron rebuild = Polyhedron::UnitSimplex(d);
     for (int round = 0; round < 8; ++round) {
       Vec a = rng.SimplexUniform(d), b = rng.SimplexUniform(d);
       Halfspace h{a - b, 0.0};
-      ASSERT_EQ(incremental.TryCut(h), rebuild.TryCut(h))
+      ASSERT_EQ(incremental.TryCut(h), RebuildTryCut(rebuild, h))
           << "d " << d << " round " << round;
       ExpectBitIdentical(incremental, rebuild);
     }
@@ -290,13 +304,13 @@ TEST(PolyhedronIncrementalTest, CentralArrangementDegradesBitIdentical) {
 TEST(PolyhedronIncrementalTest, DuplicateCutFallsBackBitIdentical) {
   Rng rng(123);
   Polyhedron incremental = Polyhedron::UnitSimplex(3);
-  Polyhedron rebuild = RebuildSimplex(3);
+  Polyhedron rebuild = Polyhedron::UnitSimplex(3);
   Halfspace h = RandomItemCut(rng, 3);
   incremental.Cut(h);
-  rebuild.Cut(h);
+  RebuildCut(rebuild, h);
   ExpectBitIdentical(incremental, rebuild);
   incremental.Cut(h);  // exact duplicate: tight at the new boundary vertices
-  rebuild.Cut(h);
+  RebuildCut(rebuild, h);
   ExpectBitIdentical(incremental, rebuild);
 }
 
@@ -305,20 +319,20 @@ TEST(PolyhedronIncrementalTest, DuplicateCutFallsBackBitIdentical) {
 TEST(PolyhedronIncrementalTest, TryCutRejectionRestoresAdjacency) {
   Rng rng(321);
   Polyhedron incremental = Polyhedron::UnitSimplex(4);
-  Polyhedron rebuild = RebuildSimplex(4);
+  Polyhedron rebuild = Polyhedron::UnitSimplex(4);
   Halfspace h = RandomItemCut(rng, 4);
   incremental.Cut(h);
-  rebuild.Cut(h);
+  RebuildCut(rebuild, h);
   const bool was_valid = incremental.adjacency_valid();
   EXPECT_TRUE(was_valid);
   // Σu = 1 everywhere, so normal −1 with offset 0.5 is violated by all of R.
   Halfspace emptying{Vec{-1.0, -1.0, -1.0, -1.0}, 0.5};
   EXPECT_FALSE(incremental.TryCut(emptying));
-  EXPECT_FALSE(rebuild.TryCut(emptying));
+  EXPECT_FALSE(RebuildTryCut(rebuild, emptying));
   EXPECT_EQ(incremental.adjacency_valid(), was_valid);
   ExpectBitIdentical(incremental, rebuild);
   Halfspace h2 = RandomItemCut(rng, 4);
-  ASSERT_EQ(incremental.TryCut(h2), rebuild.TryCut(h2));
+  ASSERT_EQ(incremental.TryCut(h2), RebuildTryCut(rebuild, h2));
   ExpectBitIdentical(incremental, rebuild);
 }
 
@@ -332,7 +346,7 @@ TEST(PolyhedronIncrementalTest, SnapshotRestoreRebuildsAdjacency) {
     (void)incremental.TryCut(RandomItemCut(rng, 3));
   }
   Result<Polyhedron> restored = Polyhedron::FromSnapshotParts(
-      3, Polyhedron::Options(), incremental.cuts(), incremental.vertices());
+      3, incremental.cuts(), incremental.vertices());
   ASSERT_TRUE(restored.ok());
   EXPECT_FALSE(restored.value().adjacency_valid());
   ExpectBitIdentical(incremental, restored.value());

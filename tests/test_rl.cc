@@ -1,10 +1,12 @@
 // Unit tests for the RL substrate: replay memory, ε schedule, DQN agent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/rng.h"
+#include "nn/optimizer.h"
 #include "rl/dqn.h"
 #include "rl/prioritized_replay.h"
 #include "rl/replay.h"
@@ -307,25 +309,99 @@ TEST(DqnDeathTest, WrongInputDimAborts) {
 
 // ---------- Batched vs scalar execution (DESIGN.md §12) ----------
 
-// Feeds two identically-seeded agents — one batched, one on the scalar
-// reference path — the same transition stream, then drives both through the
-// same number of updates with identically-seeded sampling Rngs. The batched
-// hot path keeps the scalar summation/accumulation order, so every loss (and
-// every network weight behind it) must come out exactly equal, not merely
-// close.
+// The scalar reference for DqnAgent::Update, built from public API only: it
+// draws the same batch (same replay, same Rng), computes each TD target with
+// one Infer per next candidate, fits it with one AccumulateRegressionSample
+// per transition, and applies one step of a test-owned Adam. Driven on a
+// twin of the agent under test, it must reproduce every loss and weight
+// exactly — the batched update keeps the per-sample summation order.
+class PerSampleUpdate {
+ public:
+  explicit PerSampleUpdate(DqnAgent& agent)
+      : agent_(agent),
+        adam_(agent.main_network().Params(), agent.options().learning_rate) {}
+
+  double Update(Rng& rng) {
+    const DqnOptions& opt = agent_.options();
+    if (agent_.replay().size() < opt.min_replay_before_update) return 0.0;
+    const double delta = opt.loss == LossKind::kHuber ? opt.huber_delta : 0.0;
+    nn::Network& main = agent_.main_network();
+    double loss_sum = 0.0;
+    size_t count = 0;
+    if (opt.prioritized_replay) {
+      PrioritizedReplayMemory& memory = agent_.prioritized_replay();
+      for (const PrioritizedSample& s : memory.Sample(opt.batch_size, rng)) {
+        const double err = main.AccumulateRegressionSample(
+            s.transition->state_action, TargetFor(*s.transition), s.weight,
+            delta);
+        memory.UpdatePriority(s, err);
+        loss_sum += err * err;
+        ++count;
+      }
+    } else {
+      for (const Transition* t : agent_.replay().Sample(opt.batch_size, rng)) {
+        const double err = main.AccumulateRegressionSample(
+            t->state_action, TargetFor(*t), 1.0, delta);
+        loss_sum += err * err;
+        ++count;
+      }
+    }
+    adam_.Step(count);
+    ++updates_;
+    if (opt.target_sync_every > 0 && updates_ % opt.target_sync_every == 0) {
+      agent_.SyncTarget();
+    }
+    return loss_sum / static_cast<double>(count);
+  }
+
+ private:
+  // r + γ·max Q̂(s', a') — or, for double DQN, Q̂ at the main net's argmax.
+  double TargetFor(const Transition& t) {
+    if (t.terminal || t.next_candidates.empty()) return t.reward;
+    nn::Network& main = agent_.main_network();
+    nn::Network& target = agent_.target_network();
+    double best_next;
+    if (agent_.options().double_dqn) {
+      size_t best = 0;
+      double best_main = main.Infer(t.next_candidates[0]);
+      for (size_t i = 1; i < t.next_candidates.size(); ++i) {
+        const double q = main.Infer(t.next_candidates[i]);
+        if (q > best_main) {
+          best_main = q;
+          best = i;
+        }
+      }
+      best_next = target.Infer(t.next_candidates[best]);
+    } else {
+      best_next = target.Infer(t.next_candidates[0]);
+      for (size_t i = 1; i < t.next_candidates.size(); ++i) {
+        best_next = std::max(best_next, target.Infer(t.next_candidates[i]));
+      }
+    }
+    return t.reward + agent_.options().gamma * best_next;
+  }
+
+  DqnAgent& agent_;
+  nn::Adam adam_;
+  size_t updates_ = 0;
+};
+
+// Feeds two identically-seeded agents the same transition stream, then
+// drives one through DqnAgent::Update and its twin through PerSampleUpdate
+// with identically-seeded sampling Rngs. Every loss (and every network
+// weight behind it) must come out exactly equal, not merely close.
 void ExpectBatchedMatchesScalar(bool prioritized, bool double_dqn) {
   DqnOptions opt = SmallOptions();
+  ASSERT_EQ(opt.optimizer, OptimizerKind::kAdam);  // PerSampleUpdate's Adam
   opt.prioritized_replay = prioritized;
   opt.double_dqn = double_dqn;
   opt.target_sync_every = 7;
   opt.loss = LossKind::kHuber;
-  DqnOptions scalar_opt = opt;
-  scalar_opt.batched_execution = false;
-  opt.batched_execution = true;
 
   Rng init_a(77), init_b(77);
   DqnAgent batched(2, opt, init_a);
-  DqnAgent scalar(2, scalar_opt, init_b);
+  DqnAgent scalar(2, opt, init_b);
+  PerSampleUpdate reference(scalar);
 
   Rng stream(78);
   for (int i = 0; i < 60; ++i) {
@@ -348,16 +424,26 @@ void ExpectBatchedMatchesScalar(bool prioritized, bool double_dqn) {
   Rng update_a(79), update_b(79);
   for (int i = 0; i < 25; ++i) {
     const double loss_batched = batched.Update(update_a);
-    const double loss_scalar = scalar.Update(update_b);
+    const double loss_scalar = reference.Update(update_b);
     EXPECT_EQ(loss_batched, loss_scalar) << "update " << i;
   }
   Vec probe{0.3, -0.6};
   EXPECT_EQ(batched.QValue(probe), scalar.QValue(probe));
+  EXPECT_EQ(batched.target_network().Infer(probe),
+            scalar.target_network().Infer(probe));
 
-  // Greedy selection agrees too (same weights, same tie-breaking).
+  // Greedy selection agrees with a per-candidate Infer argmax (same weights,
+  // same first-maximum tie-breaking).
   std::vector<Vec> candidates{Vec{0.1, 0.2}, Vec{0.5, -0.3}, Vec{0.9, 0.9},
                               Vec{-0.2, 0.4}};
-  EXPECT_EQ(batched.SelectGreedy(candidates), scalar.SelectGreedy(candidates));
+  size_t best = 0;
+  for (size_t i = 1; i < candidates.size(); ++i) {
+    if (scalar.main_network().Infer(candidates[i]) >
+        scalar.main_network().Infer(candidates[best])) {
+      best = i;
+    }
+  }
+  EXPECT_EQ(batched.SelectGreedy(candidates), best);
 }
 
 TEST(DqnBatchedTest, UniformReplayLossIdenticalToScalar) {

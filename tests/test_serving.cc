@@ -267,7 +267,7 @@ TEST(AtomicWriteTest, StoreSaveKilledAtAnyByteKeepsThePreviousEpoch) {
   SessionStore previous;
   previous.BeginEpoch("epoch-1-population");
   previous.LogAnswer(0, Answer::kFirst);
-  ASSERT_TRUE(previous.SaveFile(path).ok());
+  ASSERT_TRUE(previous.SyncFile(path).ok());
 
   SessionStore next;
   next.BeginEpoch("epoch-2-population");
@@ -276,7 +276,7 @@ TEST(AtomicWriteTest, StoreSaveKilledAtAnyByteKeepsThePreviousEpoch) {
   const size_t save_size = next.Serialize().size();
   for (size_t budget = 0; budget < save_size; ++budget) {
     snapshot::SetShortWriteForTesting(budget);
-    ASSERT_FALSE(next.SaveFile(path).ok()) << "budget " << budget;
+    ASSERT_FALSE(next.SyncFile(path).ok()) << "budget " << budget;
     Result<SessionStore> loaded = SessionStore::LoadFile(path);
     ASSERT_TRUE(loaded.ok()) << "budget " << budget << ": "
                              << loaded.status().ToString();
@@ -284,7 +284,7 @@ TEST(AtomicWriteTest, StoreSaveKilledAtAnyByteKeepsThePreviousEpoch) {
                                                           << budget;
     ASSERT_EQ(loaded->wal().size(), 1u) << "budget " << budget;
   }
-  ASSERT_TRUE(next.SaveFile(path).ok());
+  ASSERT_TRUE(next.SyncFile(path).ok());
   Result<SessionStore> loaded = SessionStore::LoadFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->population(), "epoch-2-population");
@@ -350,34 +350,55 @@ TEST(SessionStoreAppendTest, SyncFileAppendsConstantBytesPerRecord) {
   std::remove(path.c_str());
 }
 
-TEST(SessionStoreAppendTest, LegacySaveFileAndSyncFileLoadIdentically) {
-  const std::string legacy = ::testing::TempDir() + "/isrl_store_legacy.bin";
-  const std::string incremental = ::testing::TempDir() + "/isrl_store_incr.bin";
+// A file holding one full-store frame and no deltas — Serialize() written
+// atomically — is what earlier builds wrote for a final save; it must keep
+// loading to the same store as the SyncFile file of the same state.
+TEST(SessionStoreAppendTest, LoneFullStoreFrameLoadsLikeSyncFile) {
+  const std::string lone = ::testing::TempDir() + "/isrl_store_lone.bin";
+  const std::string synced = ::testing::TempDir() + "/isrl_store_synced.bin";
   SessionStore store;
   store.BeginEpoch("compat-population");
-  ASSERT_TRUE(store.SyncFile(incremental).ok());
+  ASSERT_TRUE(store.SyncFile(synced).ok());
   store.LogAnswer(3, Answer::kNoAnswer);
   store.LogCancel(1);
-  ASSERT_TRUE(store.SyncFile(incremental).ok());
-  // Legacy writer: one monolithic frame, same in-memory state.
-  ASSERT_TRUE(store.SaveFile(legacy).ok());
+  ASSERT_TRUE(store.SyncFile(synced).ok());
+  ASSERT_TRUE(snapshot::WriteFileBytes(lone, store.Serialize()).ok());
 
-  Result<SessionStore> from_legacy = SessionStore::LoadFile(legacy);
-  Result<SessionStore> from_incremental = SessionStore::LoadFile(incremental);
-  ASSERT_TRUE(from_legacy.ok()) << from_legacy.status().ToString();
-  ASSERT_TRUE(from_incremental.ok()) << from_incremental.status().ToString();
-  EXPECT_EQ(from_legacy->population(), from_incremental->population());
-  ASSERT_EQ(from_legacy->wal().size(), 2u);
-  ASSERT_EQ(from_incremental->wal().size(), 2u);
-  for (size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(from_legacy->wal()[i].session_id,
-              from_incremental->wal()[i].session_id);
-    EXPECT_EQ(from_legacy->wal()[i].kind, from_incremental->wal()[i].kind);
-  }
-  // Either loaded store serializes back into the legacy single-frame form.
-  EXPECT_EQ(from_legacy->Serialize(), from_incremental->Serialize());
-  std::remove(legacy.c_str());
-  std::remove(incremental.c_str());
+  Result<SessionStore> from_lone = SessionStore::LoadFile(lone);
+  Result<SessionStore> from_synced = SessionStore::LoadFile(synced);
+  ASSERT_TRUE(from_lone.ok()) << from_lone.status().ToString();
+  ASSERT_TRUE(from_synced.ok()) << from_synced.status().ToString();
+  ASSERT_EQ(from_lone->wal().size(), 2u);
+  EXPECT_EQ(from_lone->Serialize(), store.Serialize());
+  EXPECT_EQ(from_synced->Serialize(), store.Serialize());
+  std::remove(lone.c_str());
+  std::remove(synced.c_str());
+}
+
+// A delta append that dies part-way leaves a torn frame on disk, and
+// LoadFile stops reading at it. A retried SyncFile must therefore not append
+// after the torn bytes: it rewrites the whole store, so every record the
+// retry reports durable is on disk.
+TEST(SessionStoreAppendTest, SyncRetriedAfterTornAppendLosesNothing) {
+  const std::string path = ::testing::TempDir() + "/isrl_store_retry.bin";
+  SessionStore store;
+  store.BeginEpoch("retry-population");
+  ASSERT_TRUE(store.SyncFile(path).ok());
+  store.LogAnswer(0, Answer::kFirst);
+  snapshot::SetShortWriteForTesting(3);
+  Status died = store.SyncFile(path);
+  ASSERT_FALSE(died.ok());
+  EXPECT_EQ(died.code(), StatusCode::kIoError);
+
+  ASSERT_TRUE(store.SyncFile(path).ok());
+  store.LogAnswer(1, Answer::kSecond);
+  ASSERT_TRUE(store.SyncFile(path).ok());
+
+  Result<SessionStore> loaded = SessionStore::LoadFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->wal().size(), 2u);
+  EXPECT_EQ(loaded->Serialize(), store.Serialize());
+  std::remove(path.c_str());
 }
 
 TEST(SessionStoreAppendTest, TruncationAtEveryByteNeverCrashesLoadFile) {

@@ -3,12 +3,12 @@
 
 Runs the micro_substrates google-benchmark binary (or reads a previously
 captured ``--benchmark_format=json`` dump) and pairs each variant
-configuration with its baseline twin. Two suites:
+configuration with its baseline twin. Suites:
 
 --suite micro (default, scalar vs batched; DESIGN.md section 12):
   BM_NnPredictBatch      raw network inference   args: {batch, mode}
   BM_DqnScoreCandidates  greedy action scoring   args: {pool, mode}
-  BM_DqnUpdateBatch64    full training update    args: {mode, act, pool}
+                         mode 0 = an Infer loop over the agent's network
 
 --suite scheduler (sequential Interact() vs SessionScheduler with
 cross-session coalesced Q-inference; DESIGN.md section 13):
@@ -40,7 +40,7 @@ section 18) runs build/bench/registry_substrates:
 DESIGN.md section 17) runs build/bench/geo_substrates instead:
   BM_GeoCutSequence   12-cut session on UnitSimplex(d)  args: {d, mode}
                       mode 0 = full re-enumeration per cut, 1 = adjacency
-  BM_GeoAaGeometry    AA rectangle geometry             args: {d, mode}
+  BM_GeoAaGeometry    AA rectangle's 2d extent LPs      args: {d, mode}
                       mode 0 = independent LPs, 1 = shared-phase-1 family
   BM_GeoExtremeSweep  extreme-point sweep over n points args: {n, mode}
                       mode 0 = cold LP per query, 1 = shared model + warm
@@ -55,7 +55,7 @@ NDEBUG (isrl_build_type custom context; falls back to the benchmark
 library's own library_build_type when absent).
 
 Usage:
-  tools/bench_to_json.py [--suite micro|scheduler|checkpoint|geometry]
+  tools/bench_to_json.py [--suite micro|scheduler|checkpoint|registry|geometry]
                          [--bench build/bench/micro_substrates]
                          [--min-time 0.3] [--from-json raw.json]
                          [--out BENCH_<suite>.json]
@@ -74,7 +74,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Which slash-separated argument of each benchmark selects the execution
 # path (0 = baseline, 1 = variant), and how to label the remaining arguments.
-ACTIVATIONS = {0: "selu", 1: "relu"}
 SUITES = {
     "micro": {
         "benchmarks": {
@@ -85,10 +84,6 @@ SUITES = {
             "BM_DqnScoreCandidates": {
                 "mode_arg": 1,
                 "label": lambda rest: f"pool{rest[0]}",
-            },
-            "BM_DqnUpdateBatch64": {
-                "mode_arg": 0,
-                "label": lambda rest: f"{ACTIVATIONS[rest[0]]}/pool{rest[1]}",
             },
         },
         # Field names keep their historical suite-specific spelling so the
