@@ -3,6 +3,9 @@
 // forward/backward — the per-round cost drivers of EA and AA.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <random>
+
 #include "baselines/single_pass.h"
 #include "baselines/uh_random.h"
 #include "baselines/uh_simplex.h"
@@ -278,6 +281,64 @@ BENCHMARK(BM_NnPredictBatch)
     ->Args({64, 1})
     ->Args({256, 0})
     ->Args({256, 1});
+
+// ---- Rng engine: Mt19937_64 vs std::mt19937_64 (same draws). ----
+// Every session samples utilities through Rng, so its checkpointable
+// engine must draw as fast as the standard one it replaced. Kind 0 = 1024
+// raw 64-bit draws; kind 1 = 64 SimplexUniform(4) draws, the sampling hot
+// path. Mode 0 = std::mt19937_64 (SimplexUniform restated over it), mode
+// 1 = Rng's Mt19937_64.
+Vec StdSimplexUniform(std::mt19937_64& engine, size_t d) {
+  Vec u(d);
+  double sum = 0.0;
+  for (size_t i = 0; i < d; ++i) {
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    u[i] = -std::log(1.0 - unit(engine));
+    sum += u[i];
+  }
+  u /= sum;
+  return u;
+}
+
+template <typename Engine>
+void RawDraws(benchmark::State& state, Engine& engine) {
+  for (auto _ : state) {
+    uint64_t acc = 0;
+    for (int i = 0; i < 1024; ++i) acc ^= engine();
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1024);
+}
+
+void BM_RngDraw(benchmark::State& state) {
+  const bool simplex = state.range(0) == 1;
+  const bool ours = state.range(1) == 1;
+  Rng rng(31);
+  std::mt19937_64 reference(31);
+  if (!simplex) {
+    if (ours) {
+      RawDraws(state, rng.engine());
+    } else {
+      RawDraws(state, reference);
+    }
+    return;
+  }
+  for (auto _ : state) {
+    for (int i = 0; i < 64; ++i) {
+      if (ours) {
+        benchmark::DoNotOptimize(rng.SimplexUniform(4));
+      } else {
+        benchmark::DoNotOptimize(StdSimplexUniform(reference, 4));
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 64);
+}
+BENCHMARK(BM_RngDraw)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 // ---- Top-1 scan (the inner loop of terminal-winner construction). ----
 void BM_TopIndex(benchmark::State& state) {

@@ -15,7 +15,8 @@ namespace isrl {
 namespace {
 
 constexpr char kSpSnapshotKind[] = "sp-session";
-constexpr uint32_t kSpSnapshotVersion = 1;
+// v2 stores the session Rng as raw engine words (snapshot::EncodeRng).
+constexpr uint32_t kSpSnapshotVersion = 2;
 
 // Axis-aligned bounding box of a utility-vector sample, padded by `pad` and
 // clipped to [0,1]. An inner approximation of the true outer rectangle; the

@@ -11,7 +11,8 @@ namespace isrl {
 
 namespace {
 constexpr char kUhSnapshotKind[] = "uh-session";
-constexpr uint32_t kUhSnapshotVersion = 1;
+// v2 stores the session Rng as raw engine words (snapshot::EncodeRng).
+constexpr uint32_t kUhSnapshotVersion = 2;
 }  // namespace
 
 UhBase::UhBase(const Dataset& data, const UhOptions& options)

@@ -10,7 +10,8 @@ namespace isrl {
 
 namespace {
 constexpr char kUaSnapshotKind[] = "ua-session";
-constexpr uint32_t kUaSnapshotVersion = 1;
+// v2 stores the session Rng as raw engine words (snapshot::EncodeRng).
+constexpr uint32_t kUaSnapshotVersion = 2;
 }  // namespace
 
 UtilityApprox::UtilityApprox(const Dataset& data,

@@ -78,8 +78,11 @@ constexpr size_t kRegTileN = 16;
 #define ISRL_GEMM_VECTOR_EXT 1
 
 // gcc warns that returning/passing a 32-byte vector changes the ABI when AVX
-// is off; the helpers below are internal and always inlined, so no ABI
-// boundary is ever crossed.
+// is off; the helpers below are internal and forced inline, so no ABI
+// boundary is ever crossed. Plain `inline` is not enough: an unoptimised
+// build (Debug, or the -O0 sanitizer lanes) emits them as out-of-line
+// default-target functions, and the AVX2 clone of GemmTransposedB then
+// passes its 32-byte vectors across a mismatched ABI and SEGVs in LoadV4.
 #if !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wpsabi"
 #endif
@@ -87,13 +90,17 @@ constexpr size_t kRegTileN = 16;
 namespace {
 typedef double V4 __attribute__((vector_size(32), aligned(8)));  // NOLINT
 
-inline V4 LoadV4(const double* p) {
+[[gnu::always_inline]] inline V4 LoadV4(const double* p) {
   V4 v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
 }
-inline void StoreV4(double* p, V4 v) { __builtin_memcpy(p, &v, sizeof(v)); }
-inline V4 SplatV4(double v) { return V4{v, v, v, v}; }
+[[gnu::always_inline]] inline void StoreV4(double* p, V4 v) {
+  __builtin_memcpy(p, &v, sizeof(v));
+}
+[[gnu::always_inline]] inline V4 SplatV4(double v) {
+  return V4{v, v, v, v};
+}
 }  // namespace
 #endif
 

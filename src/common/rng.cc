@@ -18,6 +18,47 @@ uint64_t SplitSeed(uint64_t master, uint64_t stream) {
   return z;
 }
 
+Mt19937_64::Mt19937_64(result_type seed) {
+  state_[0] = seed;
+  for (size_t i = 1; i < kStateSize; ++i) {
+    const uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ull * (prev ^ (prev >> 62)) + i;
+  }
+  pos_ = kStateSize;
+}
+
+void Mt19937_64::Restore(const std::array<uint64_t, kStateSize>& state,
+                         size_t position) {
+  ISRL_CHECK_LE(position, kStateSize);
+  state_ = state;
+  pos_ = position;
+}
+
+void Mt19937_64::Twist() {
+  // Three split loops so no index needs a modulo: words whose partner
+  // k + 156 is still in range, words that wrap to the freshly twisted
+  // front, and the last word, which pairs with word 0.
+  constexpr size_t kShift = 156;
+  constexpr uint64_t kUpper = ~uint64_t{0} << 31;
+  constexpr uint64_t kLower = ~kUpper;
+  constexpr uint64_t kMatrix = 0xB5026F5AA96619E9ull;
+  auto mix = [](uint64_t hi, uint64_t lo) {
+    const uint64_t y = (hi & kUpper) | (lo & kLower);
+    return (y >> 1) ^ ((y & 1u) ? kMatrix : 0u);
+  };
+  size_t k = 0;
+  for (; k < kStateSize - kShift; ++k) {
+    state_[k] = state_[k + kShift] ^ mix(state_[k], state_[k + 1]);
+  }
+  for (; k < kStateSize - 1; ++k) {
+    state_[k] =
+        state_[k + kShift - kStateSize] ^ mix(state_[k], state_[k + 1]);
+  }
+  state_[kStateSize - 1] =
+      state_[kShift - 1] ^ mix(state_[kStateSize - 1], state_[0]);
+  pos_ = 0;
+}
+
 double Rng::Uniform(double lo, double hi) {
   std::uniform_real_distribution<double> dist(lo, hi);
   return dist(engine_);

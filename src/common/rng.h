@@ -3,6 +3,8 @@
 #ifndef ISRL_COMMON_RNG_H_
 #define ISRL_COMMON_RNG_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -17,7 +19,48 @@ namespace isrl {
 /// deterministic parallel evaluation layer (common/parallel.h) relies on.
 uint64_t SplitSeed(uint64_t master, uint64_t stream);
 
-/// Seedable pseudo-random generator (mt19937_64 under the hood) with the
+/// The 64-bit Mersenne Twister of the C++ standard ([rand.predef]
+/// mt19937_64): same seeding, recurrence and tempering, so it draws the
+/// standard's sequence bit for bit (the 10,000th draw from seed 5489 is
+/// 9981545732273789042). Unlike std::mt19937_64 its 312 state words and
+/// its position are visible, so a checkpoint stores them as raw words
+/// instead of the standard's decimal text (DESIGN.md §14).
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr size_t kStateSize = 312;
+  static constexpr result_type kDefaultSeed = 5489u;
+
+  explicit Mt19937_64(result_type seed = kDefaultSeed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ >= kStateSize) Twist();
+    result_type z = state_[pos_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    z ^= z >> 43;
+    return z;
+  }
+
+  const std::array<uint64_t, kStateSize>& state() const { return state_; }
+  /// Index of the next state word to temper; kStateSize means the next draw
+  /// twists first.
+  size_t position() const { return pos_; }
+  /// Adopts saved words and position verbatim (position ≤ kStateSize).
+  void Restore(const std::array<uint64_t, kStateSize>& state, size_t position);
+
+ private:
+  void Twist();
+
+  std::array<uint64_t, kStateSize> state_;
+  size_t pos_;
+};
+
+/// Seedable pseudo-random generator (Mt19937_64 under the hood) with the
 /// sampling helpers used by the data generators and RL components.
 class Rng {
  public:
@@ -57,14 +100,14 @@ class Rng {
     }
   }
 
-  std::mt19937_64& engine() { return engine_; }
-  /// Read-only engine access (checkpointing: the engine state streams out
-  /// through operator<< without disturbing the draw sequence).
-  const std::mt19937_64& engine() const { return engine_; }
+  Mt19937_64& engine() { return engine_; }
+  /// Read-only engine access (checkpointing reads the state words without
+  /// disturbing the draw sequence).
+  const Mt19937_64& engine() const { return engine_; }
 
  private:
   uint64_t seed_;
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace isrl

@@ -18,7 +18,8 @@ namespace isrl {
 namespace {
 constexpr char kAaSnapshotKind[] = "aa-session";
 // v2 added the pinned model's registry version next to its fingerprint.
-constexpr uint32_t kAaSnapshotVersion = 2;
+// v3 stores the session Rng as raw engine words (snapshot::EncodeRng).
+constexpr uint32_t kAaSnapshotVersion = 3;
 }  // namespace
 
 Aa::Aa(const Dataset& data, const AaOptions& options)

@@ -18,7 +18,8 @@ namespace isrl {
 namespace {
 constexpr char kEaSnapshotKind[] = "ea-session";
 // v2 added the pinned model's registry version next to its fingerprint.
-constexpr uint32_t kEaSnapshotVersion = 2;
+// v3 stores the session Rng as raw engine words (snapshot::EncodeRng).
+constexpr uint32_t kEaSnapshotVersion = 3;
 }  // namespace
 
 Ea::Ea(const Dataset& data, const EaOptions& options)

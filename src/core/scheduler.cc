@@ -485,6 +485,10 @@ Result<SessionStore> SessionStore::Deserialize(const std::string& bytes) {
   ISRL_ASSIGN_OR_RETURN(
       std::string payload,
       snapshot::UnwrapFrame(kStoreKind, kStoreVersion, bytes));
+  return DecodePayload(payload);
+}
+
+Result<SessionStore> SessionStore::DecodePayload(const std::string& payload) {
   snapshot::Reader r(payload);
   SessionStore store;
   store.population_ = r.Str();
@@ -557,9 +561,7 @@ Result<SessionStore> SessionStore::LoadFile(const std::string& path) {
         "session store file: version skew (%u, this build reads %u)",
         version, kStoreVersion));
   }
-  ISRL_ASSIGN_OR_RETURN(
-      SessionStore store,
-      Deserialize(snapshot::WrapFrame(kStoreKind, kStoreVersion, payload)));
+  ISRL_ASSIGN_OR_RETURN(SessionStore store, DecodePayload(payload));
   // Delta frames appended by SyncFile. A torn or corrupted tail is the
   // expected remains of a crash mid-append: recovery proceeds from the last
   // complete frame (the discarded answers were never applied durably — the

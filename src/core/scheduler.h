@@ -274,6 +274,10 @@ class SessionStore {
   static Result<SessionStore> LoadFile(const std::string& path);
 
  private:
+  /// Decodes a full-store frame's payload (already CRC-checked by the
+  /// caller's frame read).
+  static Result<SessionStore> DecodePayload(const std::string& payload);
+
   std::string population_;
   std::vector<WalRecord> wal_;
   /// SyncFile cursor: whether the current epoch's full-store frame is on

@@ -21,29 +21,52 @@ namespace {
 constexpr char kMagic[4] = {'I', 'S', 'R', 'L'};
 constexpr uint32_t kCrcPoly = 0xEDB88320u;
 
-const std::array<uint32_t, 256>& CrcTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+// Slicing-by-8 tables: table[0] is the classic bytewise table, and
+// table[k][b] is the CRC of byte b followed by k zero bytes, so eight table
+// lookups fold eight input bytes into the running CRC at once.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+const CrcTables& Crc32Tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? (kCrcPoly ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
+}
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
-uint32_t Crc32(const std::string& bytes) {
-  const std::array<uint32_t, 256>& table = CrcTable();
+uint32_t Crc32(std::string_view bytes) {
+  const CrcTables& t = Crc32Tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  size_t n = bytes.size();
   uint32_t c = 0xFFFFFFFFu;
-  for (char ch : bytes) {
-    c = table[(c ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -115,7 +138,6 @@ Result<std::string> UnwrapFrame(const std::string& kind, uint32_t version,
                                                payload_size - 4),
                kind.c_str()));
   }
-  std::string payload = bytes.substr(header, payload_size);
   // Read the stored CRC from the final four bytes.
   uint32_t stored = 0;
   for (size_t i = 0; i < 4; ++i) {
@@ -123,14 +145,15 @@ Result<std::string> UnwrapFrame(const std::string& kind, uint32_t version,
                   static_cast<uint8_t>(bytes[header + payload_size + i]))
               << (8 * i);
   }
-  const uint32_t computed = Crc32(payload);
+  const uint32_t computed =
+      Crc32(std::string_view(bytes).substr(header, payload_size));
   if (stored != computed) {
     return Status::InvalidArgument(
         Format("snapshot frame: CRC mismatch on '%s' payload (stored "
                "%08x, computed %08x) — snapshot is corrupted",
                kind.c_str(), stored, computed));
   }
-  return payload;
+  return bytes.substr(header, payload_size);
 }
 
 Status ReadFrameAt(const std::string& bytes, size_t* pos, std::string* kind,
@@ -139,10 +162,8 @@ Status ReadFrameAt(const std::string& bytes, size_t* pos, std::string* kind,
   if (start > bytes.size()) {
     return Status::InvalidArgument("snapshot frame: scan position past end");
   }
-  // The Reader has no seek, so parse a copy of the remaining bytes. Scan
-  // cost is frames × remaining-size — recovery-time only, never on the
-  // serving path.
-  const std::string rest = bytes.substr(start);
+  // The Reader has no seek, so parse a view of the remaining bytes.
+  const std::string_view rest = std::string_view(bytes).substr(start);
   Reader rr(rest);
   char magic[4] = {};
   for (char& m : magic) m = static_cast<char>(rr.U8());
@@ -172,7 +193,7 @@ Status ReadFrameAt(const std::string& bytes, size_t* pos, std::string* kind,
         static_cast<unsigned long long>(
             rest.size() > header ? rest.size() - header : 0)));
   }
-  std::string got_payload = rest.substr(header, payload_size);
+  const std::string_view got_payload = rest.substr(header, payload_size);
   uint32_t stored = 0;
   for (size_t i = 0; i < 4; ++i) {
     stored |= static_cast<uint32_t>(
@@ -189,7 +210,7 @@ Status ReadFrameAt(const std::string& bytes, size_t* pos, std::string* kind,
   *pos = start + header + payload_size + 4;
   *kind = std::move(got_kind);
   *version = got_version;
-  *payload = std::move(got_payload);
+  payload->assign(got_payload);
   return Status::Ok();
 }
 
@@ -268,7 +289,7 @@ std::string Reader::Str() {
   uint64_t n = U64();
   if (failed_) return std::string();
   if (!Need(n)) return std::string();
-  std::string s = bytes_.substr(pos_, n);
+  std::string s(bytes_.substr(pos_, n));
   pos_ += n;
   return s;
 }
@@ -295,23 +316,25 @@ Status Finish(const Reader& r, const char* what) {
 
 void EncodeRng(const Rng& rng, Writer* w) {
   w->U64(rng.seed());
-  std::ostringstream os;
-  os << rng.engine();
-  w->Str(os.str());
+  for (uint64_t word : rng.engine().state()) w->U64(word);
+  w->U64(rng.engine().position());
 }
 
 Status DecodeRng(Reader* r, Rng* out) {
-  uint64_t seed = r->U64();
-  std::string state = r->Str();
+  const uint64_t seed = r->U64();
+  std::array<uint64_t, Mt19937_64::kStateSize> state;
+  for (uint64_t& word : state) word = r->U64();
+  const uint64_t position = r->U64();
   ISRL_RETURN_IF_ERROR(Finish(*r, "rng snapshot"));
-  Rng restored(seed);
-  std::istringstream is(state);
-  is >> restored.engine();
-  if (is.fail()) {
-    r->Fail("malformed mt19937_64 engine state");
+  if (position > Mt19937_64::kStateSize) {
+    r->Fail("engine position past the state");
     return Status::InvalidArgument(
-        "rng snapshot: malformed mt19937_64 engine state");
+        Format("rng snapshot: engine position %llu past the %zu-word state",
+               static_cast<unsigned long long>(position),
+               Mt19937_64::kStateSize));
   }
+  Rng restored(seed);
+  restored.engine().Restore(state, static_cast<size_t>(position));
   *out = restored;
   return Status::Ok();
 }

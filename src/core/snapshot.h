@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/budget.h"
@@ -40,8 +41,9 @@
 
 namespace isrl::snapshot {
 
-/// CRC-32 (reflected, polynomial 0xEDB88320 — the zlib/PNG CRC) of `bytes`.
-uint32_t Crc32(const std::string& bytes);
+/// CRC-32 (reflected, polynomial 0xEDB88320 — the zlib/PNG CRC) of `bytes`,
+/// computed eight bytes per step (slicing-by-8).
+uint32_t Crc32(std::string_view bytes);
 
 /// Wraps `payload` in the versioned frame: magic, kind tag, format version,
 /// payload size, payload bytes, CRC32 of the payload.
@@ -79,7 +81,8 @@ class Writer {
 /// once at the end.
 class Reader {
  public:
-  explicit Reader(const std::string& bytes) : bytes_(bytes) {}
+  /// `bytes` must outlive the reader.
+  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
 
   uint8_t U8();
   uint32_t U32();
@@ -102,7 +105,7 @@ class Reader {
  private:
   bool Need(size_t n);
 
-  const std::string& bytes_;
+  std::string_view bytes_;
   size_t pos_ = 0;
   bool failed_ = false;
   std::string message_;
@@ -120,8 +123,9 @@ inline constexpr uint64_t kMaxElements = uint64_t{1} << 24;
 
 void EncodeRng(const Rng& rng, Writer* w);
 /// Restores both the construction seed (basis of Split()) and the exact
-/// mt19937_64 engine position, so the draw sequence continues where the
-/// saved generator left off.
+/// engine state — its 312 words and position, stored as U64s — so the draw
+/// sequence continues where the saved generator left off. A position past
+/// the state is InvalidArgument.
 Status DecodeRng(Reader* r, Rng* out);
 
 void EncodeVec(const Vec& v, Writer* w);

@@ -7,11 +7,14 @@
 // come back as Status errors (with per-slot graceful degradation at the
 // scheduler level), never as crashes. Run with `ctest -L checkpoint`; the CI
 // sanitize job runs this label under ASan/UBSan.
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -696,7 +699,7 @@ TEST(CorruptionTest, TruncationsAreRejectedWithoutCrashing) {
 TEST(CorruptionTest, VersionSkewIsRejectedWithAVersionError) {
   Roster roster(SmallSkyline(150, 3, 151));
   const std::string good = UhSnapshot(roster, 11);
-  Result<std::string> payload = snapshot::UnwrapFrame("uh-session", 1, good);
+  Result<std::string> payload = snapshot::UnwrapFrame("uh-session", 2, good);
   ASSERT_TRUE(payload.ok()) << payload.status().ToString();
   const std::string skewed = snapshot::WrapFrame("uh-session", 99, *payload);
   Result<std::unique_ptr<InteractionSession>> restored =
@@ -843,6 +846,221 @@ TEST(SnapshotCodecTest, FrameRejectsKindMismatchAndTrailingBytes) {
   EXPECT_FALSE(snapshot::UnwrapFrame("beta", 1, frame).ok());
   EXPECT_FALSE(snapshot::UnwrapFrame("alpha", 2, frame).ok());
   EXPECT_FALSE(snapshot::UnwrapFrame("alpha", 1, frame + "x").ok());
+}
+
+// ------------------------------------------------- checkpoint kernels
+
+// The CRC one bit at a time: the definition slicing-by-8 must reproduce.
+uint32_t BitwiseCrc32(std::string_view bytes) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (unsigned char b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(CheckpointKernelTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(0xC3C);
+  std::string buffer(1024 + 8, '\0');
+  for (char& ch : buffer) ch = static_cast<char>(rng.UniformInt(0, 255));
+  const std::string_view all(buffer);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const std::string_view bytes = all.substr(offset, length);
+      ASSERT_EQ(snapshot::Crc32(bytes), BitwiseCrc32(bytes))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST(CheckpointKernelTest, EngineDrawsTheStandardCheckValue) {
+  Mt19937_64 engine;  // default seed 5489
+  for (int i = 1; i < 10000; ++i) (void)engine();
+  EXPECT_EQ(engine(), 9981545732273789042ull);
+}
+
+const uint64_t kReferenceSeeds[] = {0, 1, 5489, ~uint64_t{0}};
+
+TEST(CheckpointKernelTest, EngineMatchesStdMt19937_64) {
+  for (uint64_t seed : kReferenceSeeds) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (size_t i = 0; i < (size_t{1} << 20); ++i) {
+      const uint64_t got = engine();
+      const uint64_t want = reference();
+      if (got != want) {
+        FAIL() << "seed " << seed << ": draw " << i << " is " << got
+               << ", std::mt19937_64 drew " << want;
+      }
+    }
+  }
+}
+
+// Rng's helpers restated over std::mt19937_64 — the reference the in-repo
+// engine must match draw for draw through every helper.
+class StdEngineRng {
+ public:
+  explicit StdEngineRng(uint64_t seed) : engine_(seed) {}
+  double Uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  }
+  int64_t UniformInt(int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
+  }
+  double Gaussian(double mean, double stddev) {
+    return std::normal_distribution<double>(mean, stddev)(engine_);
+  }
+  bool Bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
+  std::vector<double> SimplexUniform(size_t d) {
+    std::vector<double> u(d);
+    double sum = 0.0;
+    for (double& e : u) {
+      e = -std::log(1.0 - Uniform(0.0, 1.0));
+      sum += e;
+    }
+    for (double& e : u) e /= sum;
+    return u;
+  }
+  std::vector<size_t> SampleIndices(size_t n, size_t k) {
+    std::vector<size_t> out;
+    for (size_t j = n - k; j < n; ++j) {
+      const size_t t =
+          static_cast<size_t>(UniformInt(0, static_cast<int64_t>(j)));
+      bool seen = false;
+      for (size_t s : out) seen = seen || s == t;
+      out.push_back(seen ? j : t);
+    }
+    return out;
+  }
+  void Shuffle(std::vector<int>* v) {
+    for (size_t i = v->size(); i > 1; --i) {
+      const size_t j =
+          static_cast<size_t>(UniformInt(0, static_cast<int64_t>(i) - 1));
+      std::swap((*v)[i - 1], (*v)[j]);
+    }
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+TEST(CheckpointKernelTest, EveryRngHelperMatchesStdMt19937_64) {
+  for (uint64_t seed : kReferenceSeeds) {
+    Rng rng(seed);
+    StdEngineRng reference(seed);
+    for (int round = 0; round < 500; ++round) {
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << ", round " << round);
+      ASSERT_EQ(rng.Uniform(-2.0, 3.0), reference.Uniform(-2.0, 3.0));
+      ASSERT_EQ(rng.UniformInt(-7, 1000), reference.UniformInt(-7, 1000));
+      ASSERT_EQ(rng.Gaussian(1.0, 2.0), reference.Gaussian(1.0, 2.0));
+      ASSERT_EQ(rng.Bernoulli(0.3), reference.Bernoulli(0.3));
+      const Vec u = rng.SimplexUniform(5);
+      const std::vector<double> want = reference.SimplexUniform(5);
+      for (size_t i = 0; i < want.size(); ++i) ASSERT_EQ(u[i], want[i]);
+      ASSERT_EQ(rng.SampleIndices(50, 6), reference.SampleIndices(50, 6));
+      std::vector<int> a = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+      std::vector<int> b = a;
+      rng.Shuffle(&a);
+      reference.Shuffle(&b);
+      ASSERT_EQ(a, b);
+    }
+  }
+}
+
+TEST(CheckpointKernelTest, RngRoundTripAtEveryPositionContinuesTheSequence) {
+  Mt19937_64 source(0xFEED);
+  for (int i = 0; i < 500; ++i) (void)source();
+  for (size_t position = 0; position <= Mt19937_64::kStateSize; ++position) {
+    Rng original(0x1234);
+    original.engine().Restore(source.state(), position);
+    snapshot::Writer w;
+    snapshot::EncodeRng(original, &w);
+    snapshot::Reader r(w.bytes());
+    Rng restored(0);
+    ASSERT_TRUE(snapshot::DecodeRng(&r, &restored).ok()) << position;
+    EXPECT_TRUE(r.AtEnd()) << position;
+    EXPECT_EQ(restored.seed(), original.seed());
+    EXPECT_EQ(restored.engine().position(), position);
+    // Past a whole state block, so every continuation crosses a twist.
+    for (size_t i = 0; i < Mt19937_64::kStateSize + 2; ++i) {
+      ASSERT_EQ(restored.engine()(), original.engine()())
+          << "position " << position << ", draw " << i;
+    }
+  }
+}
+
+TEST(CheckpointKernelTest, RngDecodeRejectsPositionPastTheState) {
+  Rng original(77);
+  snapshot::Writer w;
+  snapshot::EncodeRng(original, &w);
+  std::string bytes = w.Take();
+  // The position is the final U64; overwrite it with 313.
+  snapshot::Writer position;
+  position.U64(Mt19937_64::kStateSize + 1);
+  bytes.replace(bytes.size() - 8, 8, position.bytes());
+  snapshot::Reader r(bytes);
+  Rng restored(0);
+  Status decoded = snapshot::DecodeRng(&r, &restored);
+  EXPECT_EQ(decoded.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.message().find("position"), std::string::npos)
+      << decoded.ToString();
+  EXPECT_TRUE(r.failed());
+}
+
+TEST(CheckpointKernelTest, RngDecodeRejectsTruncatedStateWords) {
+  Rng original(78);
+  snapshot::Writer w;
+  snapshot::EncodeRng(original, &w);
+  const std::string& bytes = w.bytes();
+  ASSERT_EQ(bytes.size(), 8 * (Mt19937_64::kStateSize + 2));
+  for (size_t keep = 0; keep < bytes.size(); ++keep) {
+    const std::string truncated = bytes.substr(0, keep);
+    snapshot::Reader r(truncated);
+    Rng restored(0);
+    EXPECT_EQ(snapshot::DecodeRng(&r, &restored).code(),
+              StatusCode::kInvalidArgument)
+        << "truncated to " << keep << " bytes";
+  }
+}
+
+TEST(CheckpointKernelTest, PreviousSessionFrameVersionsAreRejected) {
+  Roster roster(SmallSkyline(150, 3, 191));
+  struct Kind {
+    InteractiveAlgorithm* algo;
+    const char* kind;
+    uint32_t version;  // the current one; version - 1 embedded text Rngs
+  };
+  const Kind kinds[] = {{&roster.ea, "ea-session", 3},
+                        {&roster.aa, "aa-session", 3},
+                        {&roster.uh_random, "uh-session", 2},
+                        {&roster.single_pass, "sp-session", 2},
+                        {&roster.utility_approx, "ua-session", 2}};
+  for (const Kind& k : kinds) {
+    SessionConfig config;
+    config.budget.max_rounds = 20;
+    config.seed = 5;
+    std::unique_ptr<InteractionSession> session = k.algo->StartSession(config);
+    (void)session->NextQuestion();
+    Result<std::string> bytes = session->SaveState();
+    ASSERT_TRUE(bytes.ok()) << k.kind << ": " << bytes.status().ToString();
+    session->Cancel();
+    Result<std::string> payload =
+        snapshot::UnwrapFrame(k.kind, k.version, *bytes);
+    ASSERT_TRUE(payload.ok()) << k.kind << ": " << payload.status().ToString();
+    const std::string old =
+        snapshot::WrapFrame(k.kind, k.version - 1, *payload);
+    Result<std::unique_ptr<InteractionSession>> restored =
+        k.algo->RestoreSession(old, config);
+    ASSERT_FALSE(restored.ok()) << k.kind;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(restored.status().message().find("version skew"),
+              std::string::npos)
+        << k.kind << ": " << restored.status().ToString();
+  }
 }
 
 }  // namespace

@@ -256,7 +256,10 @@ TEST(SerializeTest, NegativeCorpusYieldsDescriptiveStatuses) {
     Result<Network> net = DeserializeNetwork(c.text);
     ASSERT_FALSE(net.ok()) << c.label;
     EXPECT_EQ(net.status().code(), StatusCode::kInvalidArgument) << c.label;
-    const std::string& msg = net.status().message();
+    // status() returns by value: hold the Status, not a reference into
+    // the temporary.
+    const Status status = net.status();
+    const std::string& msg = status.message();
     const bool matched =
         msg.find(c.expect_in_message) != std::string::npos ||
         (c.alt_message != nullptr &&

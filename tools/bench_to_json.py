@@ -9,6 +9,10 @@ configuration with its baseline twin. Suites:
   BM_NnPredictBatch      raw network inference   args: {batch, mode}
   BM_DqnScoreCandidates  greedy action scoring   args: {pool, mode}
                          mode 0 = an Infer loop over the agent's network
+plus the Rng engine's parity with the standard one (DESIGN.md section 14):
+  BM_RngDraw             raw / SimplexUniform    args: {kind, mode}
+                         mode 0 = std::mt19937_64, 1 = Rng's Mt19937_64
+                         (fields std_cpu_ns / rng_cpu_ns)
 
 --suite scheduler (sequential Interact() vs SessionScheduler with
 cross-session coalesced Q-inference; DESIGN.md section 13):
@@ -85,13 +89,22 @@ SUITES = {
                 "mode_arg": 1,
                 "label": lambda rest: f"pool{rest[0]}",
             },
+            "BM_RngDraw": {
+                "mode_arg": 1,
+                "label": lambda rest: ("raw1024", "simplex4x64")[rest[0]],
+                "baseline_field": "std_cpu_ns",
+                "variant_field": "rng_cpu_ns",
+            },
         },
         # Field names keep their historical suite-specific spelling so the
         # checked-in BENCH_micro.json stays diff-stable.
         "baseline_field": "scalar_cpu_ns",
         "variant_field": "batched_cpu_ns",
         "note": "speedup = scalar_cpu_ns / batched_cpu_ns; both paths "
-        "produce bit-identical results (DESIGN.md section 12)",
+        "produce bit-identical results (DESIGN.md section 12). BM_RngDraw "
+        "rows instead read speedup = std_cpu_ns / rng_cpu_ns: the same "
+        "draws from std::mt19937_64 and from Rng's checkpointable "
+        "Mt19937_64 (DESIGN.md section 14), so ~1.0 is the claim",
     },
     "scheduler": {
         "benchmarks": {
@@ -229,6 +242,14 @@ def to_ns(row: dict, field: str = "cpu_time") -> float:
     return row[field] * scale.get(row.get("time_unit", "ns"), 1.0)
 
 
+def fields(suite: dict, spec: dict) -> tuple:
+    """The (baseline, variant) field names of one benchmark's records."""
+    return (
+        spec.get("baseline_field", suite["baseline_field"]),
+        spec.get("variant_field", suite["variant_field"]),
+    )
+
+
 def distill(raw: dict, suite: dict) -> list:
     """Pairs baseline/variant rows; returns one record per configuration.
 
@@ -270,7 +291,7 @@ def distill(raw: dict, suite: dict) -> list:
         mode = args[spec["mode_arg"]]
         rest = [a for i, a in enumerate(args) if i != spec["mode_arg"]]
         key = (base, spec["label"](rest))
-        entry = pairs.setdefault(key, {})
+        entry = pairs.setdefault(key, {"spec": spec})
         entry["variant" if mode == 1 else "baseline"] = to_ns(row)
         for counter in suite.get("counters", []):
             if counter in row:
@@ -281,11 +302,12 @@ def distill(raw: dict, suite: dict) -> list:
         if "baseline" not in times or "variant" not in times:
             missing.append(f"{base}[{label}]")
             continue
+        baseline_field, variant_field = fields(suite, times["spec"])
         record = {
             "benchmark": base,
             "config": label,
-            suite["baseline_field"]: round(times["baseline"], 1),
-            suite["variant_field"]: round(times["variant"], 1),
+            baseline_field: round(times["baseline"], 1),
+            variant_field: round(times["variant"], 1),
             "speedup": round(times["baseline"] / times["variant"], 2),
         }
         for counter, value in times.get("counters", {}).items():
@@ -414,8 +436,6 @@ def main() -> None:
         "results": distill(raw, suite),
     }
     args.out.write_text(json.dumps(out, indent=2) + "\n")
-    base_name = suite["baseline_field"].removesuffix("_cpu_ns")
-    variant_name = suite["variant_field"].removesuffix("_cpu_ns")
     for r in out["results"]:
         if "one_shard_wall_ns" in r:
             print(
@@ -425,10 +445,15 @@ def main() -> None:
                 f"{r['speedup']:.2f}x (wall)"
             )
             continue
+        base_field, variant_field = fields(
+            suite, suite["benchmarks"][r["benchmark"]]
+        )
         print(
             f"{r['benchmark']:<24} {r['config']:<12} "
-            f"{base_name} {r[suite['baseline_field']] / 1e3:>11.1f} us   "
-            f"{variant_name} {r[suite['variant_field']] / 1e3:>11.1f} us   "
+            f"{base_field.removesuffix('_cpu_ns')} "
+            f"{r[base_field] / 1e3:>11.1f} us   "
+            f"{variant_field.removesuffix('_cpu_ns')} "
+            f"{r[variant_field] / 1e3:>11.1f} us   "
             f"{r['speedup']:.2f}x"
         )
     print(f"wrote {args.out}")
