@@ -340,34 +340,113 @@ BENCHMARK(BM_RngDraw)
     ->Args({1, 0})
     ->Args({1, 1});
 
-// ---- Top-1 scan (the inner loop of terminal-winner construction). ----
-void BM_TopIndex(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(9);
-  Dataset data = GenerateSynthetic(n, 20, Distribution::kAntiCorrelated, rng);
-  Vec u = rng.SimplexUniform(20);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(data.TopIndex(u));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_TopIndex)->Arg(1000)->Arg(10000);
+// ---- Top-1 scans: the restated scalar loop (mode 0) vs Dataset's blocked
+// kernel (mode 1), which returns the same indices. Shapes {n, d, m}: the
+// aa-player20 and aa-anti20 skylines × 65 AA samples, the ea-anti4 skyline
+// × 111 EA utilities, and one utility (TopIndex). ----
+struct TopShape {
+  size_t n, d, m;
+};
+constexpr TopShape kTopShapes[] = {
+    {6413, 20, 65}, {1936, 20, 65}, {311, 4, 111}, {6413, 20, 1}};
 
+// The scalar first-maximum scan the kernel replaced.
+size_t LoopTopIndex(const Dataset& data, const Vec& u) {
+  size_t best = 0;
+  double best_utility = Dot(u, data.point(0));
+  for (size_t i = 1; i < data.size(); ++i) {
+    double utility = Dot(u, data.point(i));
+    if (utility > best_utility) {
+      best_utility = utility;
+      best = i;
+    }
+  }
+  return best;
+}
+
+// TerminalWinners on the scalar loop: a scan for the top utility and one
+// more for every new winner.
+std::vector<size_t> LoopTerminalWinners(const Dataset& data,
+                                        const std::vector<Vec>& utilities,
+                                        double epsilon) {
+  std::vector<size_t> winners;
+  for (const Vec& u : utilities) {
+    double top = Dot(u, data.point(LoopTopIndex(data, u)));
+    if (top <= 0.0) continue;
+    const double bar = (1.0 - epsilon) * top;
+    bool covered = false;
+    for (size_t w : winners) {
+      if (Dot(u, data.point(w)) >= bar) {
+        covered = true;
+        break;
+      }
+    }
+    if (!covered) winners.push_back(LoopTopIndex(data, u));
+  }
+  return winners;
+}
+
+// Anti-correlated points of the shape (d = 4 takes a skyline prefix, as
+// ea-anti4 scans a skyline) and m simplex-uniform utilities.
+Dataset TopShapeData(const TopShape& shape, std::vector<Vec>* utilities) {
+  Rng rng(9);
+  Dataset data(shape.d);
+  if (shape.d <= 4) {
+    Dataset sky = SkylineOf(GenerateSynthetic(
+        20 * shape.n, shape.d, Distribution::kAntiCorrelated, rng));
+    ISRL_CHECK_GE(sky.size(), shape.n);
+    for (size_t i = 0; i < shape.n; ++i) data.Add(sky.point(i));
+  } else {
+    data = GenerateSynthetic(shape.n, shape.d, Distribution::kAntiCorrelated,
+                             rng);
+  }
+  *utilities = SampleUtilityVectors(shape.m, shape.d, rng);
+  return data;
+}
+
+void TopShapeArgs(benchmark::internal::Benchmark* b) {
+  for (int64_t shape = 0; shape < 4; ++shape) {
+    b->Args({shape, 0});
+    b->Args({shape, 1});
+  }
+}
+
+void BM_TopIndex(benchmark::State& state) {
+  const TopShape& shape = kTopShapes[state.range(0)];
+  const bool kernel = state.range(1) == 1;
+  std::vector<Vec> utils;
+  Dataset data = TopShapeData(shape, &utils);
+  for (auto _ : state) {
+    if (kernel) {
+      if (utils.size() == 1) {
+        benchmark::DoNotOptimize(data.TopIndex(utils[0]));
+      } else {
+        benchmark::DoNotOptimize(data.TopIndices(utils));
+      }
+    } else {
+      for (const Vec& u : utils) {
+        benchmark::DoNotOptimize(LoopTopIndex(data, u));
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * shape.n *
+                                               shape.m));
+}
+BENCHMARK(BM_TopIndex)->Apply(TopShapeArgs);
 
 // ---- Core operations: the per-round cost drivers of EA. ----
 void BM_TerminalWinners(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(10);
-  Dataset raw = GenerateSynthetic(n * 10, 4, Distribution::kAntiCorrelated, rng);
-  Dataset sky = SkylineOf(raw);
-  auto utils = SampleUtilityVectors(100, 4, rng);
+  const TopShape& shape = kTopShapes[state.range(0)];
+  const bool kernel = state.range(1) == 1;
+  std::vector<Vec> utils;
+  Dataset data = TopShapeData(shape, &utils);
   for (auto _ : state) {
-    auto winners = TerminalWinners(sky, utils, 0.1);
+    auto winners = kernel ? TerminalWinners(data, utils, 0.1)
+                          : LoopTerminalWinners(data, utils, 0.1);
     benchmark::DoNotOptimize(winners);
   }
 }
-BENCHMARK(BM_TerminalWinners)->Arg(100)->Arg(1000);
+BENCHMARK(BM_TerminalWinners)->Apply(TopShapeArgs);
 
 void BM_EaStateEncode(benchmark::State& state) {
   Rng rng(11);

@@ -418,9 +418,11 @@ class SinglePass::Session final : public InteractionSession {
   bool ParticleStop() const {
     if (particles_.size() < owner_.options_.min_particles) return false;
     const Vec& champ = owner_.data_.point(champion_);
+    const std::vector<size_t> tops = owner_.data_.TopIndices(particles_);
     double worst = 0.0;
-    for (const Vec& u : particles_) {
-      double top = owner_.data_.TopUtility(u);
+    for (size_t i = 0; i < particles_.size(); ++i) {
+      const Vec& u = particles_[i];
+      double top = Dot(u, owner_.data_.point(tops[i]));
       worst = std::max(worst, (top - Dot(u, champ)) / top);
       if (worst > 0.5 * owner_.options_.epsilon) return false;
     }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/thread_annotations.h"  // ISRL_THREAD_SANITIZER
+#include "common/simd.h"
 
 namespace isrl {
 
@@ -65,72 +65,15 @@ constexpr size_t kPackMinRows = 8;
 constexpr size_t kRegTileN = 16;
 }  // namespace
 
-// Explicit 4-wide vector lanes for the packed micro-kernel: the compiler's
-// autovectoriser does not reliably keep the 16-column accumulator tile in
-// registers, so the lanes are spelled out with GNU vector extensions
-// (supported by gcc and clang; lowered to SSE2 pairs on the baseline clone
-// and to 256-bit ops on the AVX2 clone). All arithmetic stays separate
-// IEEE multiplies and adds — identical rounding to the scalar loops.
-// (A 64-byte/AVX-512 variant of this tile was measured ~10% slower than
-// the AVX2 clone on an Ice Lake Xeon — 512-bit port pressure without FMA
-// buys nothing here — so the tile deliberately stays 4-wide.)
-#if defined(__GNUC__) && defined(__x86_64__)
-#define ISRL_GEMM_VECTOR_EXT 1
+// The packed micro-kernel's lanes (common/simd.h): the autovectoriser does
+// not reliably keep the 16-column accumulator tile in registers, so the
+// lanes are spelled out.
+using simd::LoadV4;
+using simd::SplatV4;
+using simd::StoreV4;
+using simd::V4;
 
-// gcc warns that returning/passing a 32-byte vector changes the ABI when AVX
-// is off; the helpers below are internal and forced inline, so no ABI
-// boundary is ever crossed. Plain `inline` is not enough: an unoptimised
-// build (Debug, or the -O0 sanitizer lanes) emits them as out-of-line
-// default-target functions, and the AVX2 clone of GemmTransposedB then
-// passes its 32-byte vectors across a mismatched ABI and SEGVs in LoadV4.
-#if !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wpsabi"
-#endif
-
-namespace {
-typedef double V4 __attribute__((vector_size(32), aligned(8)));  // NOLINT
-
-[[gnu::always_inline]] inline V4 LoadV4(const double* p) {
-  V4 v;
-  __builtin_memcpy(&v, p, sizeof(v));
-  return v;
-}
-[[gnu::always_inline]] inline void StoreV4(double* p, V4 v) {
-  __builtin_memcpy(p, &v, sizeof(v));
-}
-[[gnu::always_inline]] inline V4 SplatV4(double v) {
-  return V4{v, v, v, v};
-}
-}  // namespace
-#endif
-
-// Runtime-dispatched SIMD: on x86-64/glibc the kernel is cloned for AVX2 and
-// the loader picks the widest supported clone via ifunc, so the build stays
-// portable while modern hosts vectorise the packed inner loop 4-wide. The
-// clone list deliberately excludes FMA: every clone rounds each multiply and
-// add separately, exactly like the baseline, so results are bit-identical
-// across hosts and across the dot/packed code shapes.
-//
-// ThreadSanitizer builds must NOT emit the ifunc: the resolver runs while
-// the dynamic loader processes IRELATIVE relocations, BEFORE the TSan
-// runtime has mapped its shadow memory, and the instrumented resolver then
-// segfaults pre-main — every binary linking this TU dies before main() even
-// under --gtest_list_tests (root cause of the long-standing "TSan+gtest
-// segfault", DESIGN.md §16). The clones are bit-identical to the baseline
-// by construction, so a TSan build losing AVX2 dispatch changes timing
-// only, never results.
-#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute) && \
-    !defined(ISRL_THREAD_SANITIZER)
-#if __has_attribute(target_clones)
-#define ISRL_GEMM_TARGET_CLONES \
-  __attribute__((target_clones("avx2", "default")))
-#endif
-#endif
-#ifndef ISRL_GEMM_TARGET_CLONES
-#define ISRL_GEMM_TARGET_CLONES
-#endif
-
-ISRL_GEMM_TARGET_CLONES
+ISRL_SIMD_TARGET_CLONES
 void GemmTransposedB(size_t m, size_t n, size_t k, const double* a,
                      const double* b, const double* bias, double* c,
                      bool accumulate) {
@@ -235,7 +178,6 @@ void GemmTransposedB(size_t m, size_t n, size_t k, const double* a,
     const double* ai = a + i * k;
     double* ci = c + i * n;
     size_t j = 0;
-#ifdef ISRL_GEMM_VECTOR_EXT
     for (; j + kRegTileN <= n; j += kRegTileN) {
       V4 acc0 = accumulate ? LoadV4(ci + j)
                            : (bias != nullptr ? LoadV4(bias + j) : SplatV4(0.0));
@@ -271,20 +213,6 @@ void GemmTransposedB(size_t m, size_t n, size_t k, const double* a,
       }
       StoreV4(ci + j, acc);
     }
-#else
-    for (; j + kRegTileN <= n; j += kRegTileN) {
-      double acc[kRegTileN];
-      for (size_t u = 0; u < kRegTileN; ++u) {
-        acc[u] = accumulate ? ci[j + u] : (bias != nullptr ? bias[j + u] : 0.0);
-      }
-      for (size_t t = 0; t < k; ++t) {
-        const double av = ai[t];
-        const double* p = panel + t * n + j;
-        for (size_t u = 0; u < kRegTileN; ++u) acc[u] += av * p[u];
-      }
-      for (size_t u = 0; u < kRegTileN; ++u) ci[j + u] = acc[u];
-    }
-#endif
     for (; j < n; ++j) {
       double s = accumulate ? ci[j] : (bias != nullptr ? bias[j] : 0.0);
       for (size_t t = 0; t < k; ++t) s += ai[t] * panel[t * n + j];

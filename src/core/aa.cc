@@ -42,7 +42,7 @@ Aa::Aa(const Aa& other)
       episodes_trained_(other.episodes_trained_) {}
 
 std::shared_ptr<const nn::ModelSnapshot> Aa::ServingModel() {
-  // The fingerprint check also catches out-of-band mutation through
+  // The weight comparison also catches out-of-band mutation through
   // agent(): a stale snapshot would silently serve old weights.
   if (live_model_ == nullptr ||
       !live_model_->SameWeights(agent_.main_network())) {

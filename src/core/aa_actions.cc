@@ -21,6 +21,17 @@ double PreferenceFraction(const Vec& pi, const Vec& pj,
 
 }  // namespace
 
+std::vector<size_t> ContentionPool(const Dataset& data,
+                                   const std::vector<Vec>& samples) {
+  std::vector<size_t> pool;
+  for (size_t top : data.TopIndices(samples)) {
+    if (std::find(pool.begin(), pool.end(), top) == pool.end()) {
+      pool.push_back(top);
+    }
+  }
+  return pool;
+}
+
 std::vector<AaAction> BuildAaActionSpace(
     const Dataset& data, const std::vector<LearnedHalfspace>& h,
     const AaGeometry& geometry, const AaActionOptions& options, Rng& rng) {
@@ -39,14 +50,7 @@ std::vector<AaAction> BuildAaActionSpace(
       HitAndRunSample(cuts, geometry.inner.center, options.pool_samples, rng);
   samples.push_back(geometry.inner.center);
 
-  // ---- Contention pool: distinct top-1 points over the samples. ----
-  std::vector<size_t> pool;
-  for (const Vec& u : samples) {
-    size_t top = data.TopIndex(u);
-    if (std::find(pool.begin(), pool.end(), top) == pool.end()) {
-      pool.push_back(top);
-    }
-  }
+  const std::vector<size_t> pool = ContentionPool(data, samples);
 
   // ---- Describe pairs: the ideal hyper-plane bisects R (a 50/50 preference
   // split over the samples) and addresses the outer rectangle's widest

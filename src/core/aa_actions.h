@@ -42,6 +42,11 @@ struct AaAction {
   double center_dist = 0.0; ///< hyper-plane distance to the inner centre
 };
 
+/// The contention pool: the distinct top-1 points of `samples`, in the order
+/// they first win.
+std::vector<size_t> ContentionPool(const Dataset& data,
+                                   const std::vector<Vec>& samples);
+
 /// Builds up to m_h candidates: pairs over the contention pool whose both
 /// sides provably intersect R, the best-scored half first and a random
 /// diverse half after. Empty when no pair splits R (interaction cannot

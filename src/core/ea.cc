@@ -43,7 +43,7 @@ Ea::Ea(const Ea& other)
       episodes_trained_(other.episodes_trained_) {}
 
 std::shared_ptr<const nn::ModelSnapshot> Ea::ServingModel() {
-  // The fingerprint check also catches out-of-band mutation through
+  // The weight comparison also catches out-of-band mutation through
   // agent(): a stale snapshot would silently serve old weights.
   if (live_model_ == nullptr ||
       !live_model_->SameWeights(agent_.main_network())) {

@@ -20,7 +20,8 @@ double RegretRatioAt(const Dataset& data, size_t index, const Vec& u);
 
 /// True iff regratio(p, v) < ε for every v in `utilities` — the certificate
 /// used for stopping conditions and the Figures 7/8 worst-case metric.
-/// Uses the linear form: regratio(p, v) ≤ ε ⇔ v·((1−ε)q − p) ≤ 0 ∀q.
+/// Uses the linear form: regratio(p, v) ≤ ε ⇔ v·((1−ε)q − p) ≤ 0 ∀q, checked
+/// at each v's top point (exact for ε ≤ 1).
 bool IsEpsOptimalForAll(const Dataset& data, const Vec& p,
                         const std::vector<Vec>& utilities, double epsilon);
 

@@ -14,9 +14,11 @@ bool InTerminalPolyhedron(const Dataset& data, size_t winner_index,
 std::vector<size_t> TerminalWinners(const Dataset& data,
                                     const std::vector<Vec>& utilities,
                                     double epsilon) {
+  const std::vector<size_t> tops = data.TopIndices(utilities);
   std::vector<size_t> winners;
-  for (const Vec& u : utilities) {
-    double top = data.TopUtility(u);
+  for (size_t i = 0; i < utilities.size(); ++i) {
+    const Vec& u = utilities[i];
+    const double top = Dot(u, data.point(tops[i]));
     // A non-positive top utility means `u` is degenerate (numerically zero
     // after drift); no point can certify anything for it — skip it.
     if (top <= 0.0) continue;
@@ -28,7 +30,7 @@ std::vector<size_t> TerminalWinners(const Dataset& data,
         break;
       }
     }
-    if (!covered) winners.push_back(data.TopIndex(u));
+    if (!covered) winners.push_back(tops[i]);
   }
   return winners;
 }

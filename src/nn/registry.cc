@@ -1,5 +1,6 @@
 #include "nn/registry.h"
 
+#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -24,8 +25,37 @@ Vec ModelSnapshot::Score(const Matrix& candidate_features) const {
   return network_.PredictBatch(candidate_features);
 }
 
+namespace {
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+}  // namespace
+
 bool ModelSnapshot::SameWeights(const Network& other) const {
-  return NetworkFingerprint(other) == fingerprint_;
+  // Bit for bit against the held copy, with no hash of `other`: at least
+  // as strict as comparing fingerprints, and it stops at the first
+  // differing layer.
+  if (other.num_layers() != network_.num_layers()) return false;
+  for (size_t i = 0; i < other.num_layers(); ++i) {
+    const Layer& mine = network_.layer(i);
+    const Layer& theirs = other.layer(i);
+    if (mine.Kind() != theirs.Kind() ||
+        mine.input_dim() != theirs.input_dim() ||
+        mine.output_dim() != theirs.output_dim()) {
+      return false;
+    }
+    if (mine.Kind() == "linear") {
+      const auto& a = static_cast<const Linear&>(mine);
+      const auto& b = static_cast<const Linear&>(theirs);
+      if (!SameBits(a.weights(), b.weights()) ||
+          !SameBits(a.biases(), b.biases())) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 std::shared_ptr<const ModelSnapshot> ModelSnapshot::Replicate() const {

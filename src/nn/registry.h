@@ -51,8 +51,10 @@ class ModelSnapshot {
   /// to scoring through the network the snapshot was published from.
   Vec Score(const Matrix& candidate_features) const;
 
-  /// True when `other` holds exactly the same parameter values (used to
-  /// detect a stale live snapshot after out-of-band weight mutation).
+  /// True when `other` holds exactly the same parameter values: layer kinds
+  /// and dimensions, then every weight and bias compared bit for bit with
+  /// the held copy (used to detect a stale live snapshot after out-of-band
+  /// weight mutation).
   bool SameWeights(const Network& other) const;
 
   /// A fresh snapshot with the same version, fingerprint, and weights but

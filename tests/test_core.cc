@@ -17,6 +17,7 @@
 #include "core/terminal.h"
 #include "data/skyline.h"
 #include "data/synthetic.h"
+#include "geometry/hit_and_run.h"
 #include "lp/simplex.h"
 #include "user/sampler.h"
 
@@ -159,6 +160,74 @@ TEST(TerminalTest, LargerEpsilonNeedsNoMoreWinners) {
   auto small = TerminalWinners(d, utils, 0.05);
   auto large = TerminalWinners(d, utils, 0.3);
   EXPECT_LE(large.size(), small.size());
+}
+
+// The first-maximum scalar scan, restated, and P_R and AA's contention pool
+// built on it: Dataset::TopIndices must leave both unchanged.
+size_t LoopTopIndex(const Dataset& data, const Vec& u) {
+  size_t best = 0;
+  double best_utility = Dot(u, data.point(0));
+  for (size_t i = 1; i < data.size(); ++i) {
+    double utility = Dot(u, data.point(i));
+    if (utility > best_utility) {
+      best_utility = utility;
+      best = i;
+    }
+  }
+  return best;
+}
+
+std::vector<size_t> LoopTerminalWinners(const Dataset& data,
+                                        const std::vector<Vec>& utilities,
+                                        double epsilon) {
+  std::vector<size_t> winners;
+  for (const Vec& u : utilities) {
+    double top = Dot(u, data.point(LoopTopIndex(data, u)));
+    if (top <= 0.0) continue;
+    bool covered = false;
+    for (size_t w : winners) {
+      if (Dot(u, data.point(w)) >= (1.0 - epsilon) * top) covered = true;
+    }
+    if (!covered) winners.push_back(LoopTopIndex(data, u));
+  }
+  return winners;
+}
+
+TEST(TerminalTest, WinnersAndContentionPoolMatchTheScanLoop) {
+  Rng rng(41);
+  for (size_t d : {4, 20}) {
+    const Dataset sky = SkylineOf(GenerateSynthetic(
+        d == 4 ? 4000 : 600, d, Distribution::kAntiCorrelated, rng));
+    const std::vector<Vec> utils = SampleUtilityVectors(111, d, rng);
+    for (double eps : {0.01, 0.1}) {
+      EXPECT_EQ(TerminalWinners(sky, utils, eps),
+                LoopTerminalWinners(sky, utils, eps));
+    }
+    // AA's pool samples: hit-and-run inside preference cuts a hidden
+    // utility agrees with.
+    const Vec hidden = rng.SimplexUniform(d);
+    std::vector<Halfspace> cuts;
+    for (int c = 0; c < 6; ++c) {
+      std::vector<size_t> pair = rng.SampleIndices(sky.size(), 2);
+      const Vec& a = sky.point(pair[0]);
+      const Vec& b = sky.point(pair[1]);
+      cuts.push_back(Dot(hidden, a) >= Dot(hidden, b)
+                         ? PreferenceHalfspace(a, b)
+                         : PreferenceHalfspace(b, a));
+    }
+    std::vector<Vec> samples = HitAndRunSample(cuts, hidden, 64, rng);
+    ASSERT_EQ(samples.size(), 64u);
+    samples.push_back(hidden);
+    std::vector<size_t> pool;
+    for (const Vec& u : samples) {
+      const size_t top = LoopTopIndex(sky, u);
+      if (std::find(pool.begin(), pool.end(), top) == pool.end()) {
+        pool.push_back(top);
+      }
+    }
+    EXPECT_GT(pool.size(), 1u);
+    EXPECT_EQ(ContentionPool(sky, samples), pool);
+  }
 }
 
 TEST(TerminalTest, TerminalRangeReturnsEpsOptimalWinner) {

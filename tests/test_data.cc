@@ -2,7 +2,10 @@
 // synthetic generators, skyline, CSV I/O, and the real-like builders.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -54,6 +57,142 @@ TEST(DatasetTest, TopIndexMatchesBruteForce) {
     }
     EXPECT_NEAR(d.TopUtility(u), Dot(u, d.point(top)), 1e-12);
   }
+}
+
+// The first-maximum scalar scan, restated: Dataset's blocked top-1 kernel
+// must return exactly its indices.
+size_t LoopTopIndex(const Dataset& data, const Vec& u) {
+  size_t best = 0;
+  double best_utility = Dot(u, data.point(0));
+  for (size_t i = 1; i < data.size(); ++i) {
+    double utility = Dot(u, data.point(i));
+    if (utility > best_utility) {
+      best_utility = utility;
+      best = i;
+    }
+  }
+  return best;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// TopIndices, TopIndex and TopUtility against the restated loop, exactly.
+void ExpectMatchesLoop(const Dataset& data, const std::vector<Vec>& utils) {
+  const std::vector<size_t> tops = data.TopIndices(utils);
+  ASSERT_EQ(tops.size(), utils.size());
+  for (size_t i = 0; i < utils.size(); ++i) {
+    const size_t want = LoopTopIndex(data, utils[i]);
+    EXPECT_EQ(tops[i], want) << "n=" << data.size() << " d=" << data.dim()
+                             << " utility " << i;
+    EXPECT_EQ(data.TopIndex(utils[i]), want);
+    EXPECT_EQ(Bits(data.TopUtility(utils[i])),
+              Bits(Dot(utils[i], data.point(want))));
+  }
+}
+
+// Points on a coarse grid (exact dot products, so distinct points tie
+// exactly) or continuous; the first half built by the vector constructor,
+// the rest by Add.
+Dataset PropertyDataset(size_t n, size_t d, bool grid, Rng& rng) {
+  std::vector<Vec> points;
+  for (size_t i = 0; i < n; ++i) {
+    Vec p(d);
+    for (size_t k = 0; k < d; ++k) {
+      p[k] = grid ? static_cast<double>(rng.UniformInt(1, 4)) / 4.0
+                  : rng.Uniform(0.001, 1.0);
+    }
+    points.push_back(p);
+  }
+  const size_t head = std::max<size_t>(1, n / 2);
+  Dataset data(std::vector<Vec>(points.begin(), points.begin() + head));
+  for (size_t i = head; i < n; ++i) data.Add(points[i]);
+  return data;
+}
+
+// Simplex-uniform, grid-valued with zeros, unit and zero utilities.
+std::vector<Vec> PropertyUtilities(size_t m, size_t d, Rng& rng) {
+  std::vector<Vec> utils;
+  for (size_t i = 0; i < m; ++i) {
+    Vec u(d);
+    switch (i % 4) {
+      case 0:
+        u = rng.SimplexUniform(d);
+        break;
+      case 1:
+        for (size_t k = 0; k < d; ++k) {
+          u[k] = static_cast<double>(rng.UniformInt(0, 8)) / 8.0;
+        }
+        break;
+      case 2:
+        u[i % d] = 1.0;
+        break;
+      default:
+        break;  // the zero utility: every point scores 0
+    }
+    utils.push_back(u);
+  }
+  return utils;
+}
+
+TEST(DatasetTest, TopIndicesEqualTheFirstMaximumScan) {
+  Rng rng(23);
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 70; ++n) sizes.push_back(n);
+  for (size_t n : {97, 143, 250}) sizes.push_back(n);
+  for (size_t d : {1, 2, 3, 4, 5, 17, 20, 21}) {
+    for (size_t n : sizes) {
+      const Dataset data = PropertyDataset(n, d, n % 2 == 0, rng);
+      for (size_t m : {1, 65, 130}) {
+        ExpectMatchesLoop(data, PropertyUtilities(m, d, rng));
+      }
+    }
+  }
+}
+
+TEST(DatasetTest, TopIndicesBreakExactTiesToTheFirstPoint) {
+  // The maximum appears at several positions across V4 lanes and blocks of
+  // 16; every utility must return the first of them, before or after the
+  // copies that tie it.
+  Rng rng(29);
+  for (size_t d : {3, 20}) {
+    for (const std::vector<size_t>& at :
+         {std::vector<size_t>{0, 1, 40}, {3, 4, 5}, {15, 16, 47},
+          {21, 37, 53}, {47, 48, 63}, {62, 63}}) {
+      Dataset data(d);
+      for (size_t i = 0; i < 64; ++i) {
+        const bool top = std::find(at.begin(), at.end(), i) != at.end();
+        Vec p(d);
+        for (size_t k = 0; k < d; ++k) p[k] = top ? 1.0 : rng.Uniform(0, 0.9);
+        data.Add(p);
+      }
+      const std::vector<Vec> utils = PropertyUtilities(65, d, rng);
+      const std::vector<size_t> tops = data.TopIndices(utils);
+      for (size_t i = 0; i < utils.size(); ++i) {
+        // A zero utility ties every point and so answers point 0.
+        EXPECT_EQ(tops[i], utils[i].Sum() > 0.0 ? at[0] : 0u);
+      }
+      ExpectMatchesLoop(data, utils);
+    }
+  }
+}
+
+TEST(DatasetTest, TopIndexOfANanUtilityIsZero) {
+  // A NaN coordinate makes every score NaN, no score compares, and the
+  // answer is point 0 — as the scalar scan's first-maximum rule gives.
+  Rng rng(31);
+  const Dataset data = PropertyDataset(37, 5, false, rng);
+  Vec nan_u = rng.SimplexUniform(5);
+  nan_u[2] = std::numeric_limits<double>::quiet_NaN();
+  const Vec good = rng.SimplexUniform(5);
+  EXPECT_EQ(data.TopIndex(nan_u), 0u);
+  EXPECT_EQ(LoopTopIndex(data, nan_u), 0u);
+  const std::vector<size_t> tops = data.TopIndices({good, nan_u, good});
+  EXPECT_EQ(tops, (std::vector<size_t>{LoopTopIndex(data, good), 0,
+                                       LoopTopIndex(data, good)}));
 }
 
 TEST(DatasetTest, NormalizedMapsToUnitRange) {

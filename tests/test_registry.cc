@@ -9,6 +9,7 @@
 // fewer questions. Run with `ctest -L registry`; CI runs this label under
 // TSan (concurrent publishes race shard ticks in the sharded tests).
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -147,6 +148,22 @@ TEST(RegistryTest, PublishPinAndFingerprint) {
   EXPECT_EQ(registry.Pin(2), v2);
   EXPECT_EQ(registry.Pin(0), nullptr);
   EXPECT_EQ(registry.Pin(3), nullptr);
+}
+
+TEST(RegistryTest, SameWeightsComparesEveryBit) {
+  Dataset sky = SmallSkyline(200, 3, 5);
+  Ea ea(sky, EaOpt());
+  const nn::Network& net = ea.agent().main_network();
+  const nn::ModelSnapshot snapshot(1, net);
+  EXPECT_TRUE(snapshot.SameWeights(net));
+  EXPECT_TRUE(snapshot.SameWeights(net.Clone()));
+
+  // One ULP on the very last parameter is a different model.
+  nn::Network moved = net.Clone();
+  auto& head = static_cast<nn::Linear&>(moved.layer(moved.num_layers() - 1));
+  head.biases().back() = std::nextafter(head.biases().back(), 1.0);
+  EXPECT_FALSE(snapshot.SameWeights(moved));
+  EXPECT_FALSE(snapshot.SameWeights(nn::Network()));
 }
 
 TEST(RegistryTest, ReplicaCacheReplicatesOncePerVersion) {

@@ -13,6 +13,12 @@ plus the Rng engine's parity with the standard one (DESIGN.md section 14):
   BM_RngDraw             raw / SimplexUniform    args: {kind, mode}
                          mode 0 = std::mt19937_64, 1 = Rng's Mt19937_64
                          (fields std_cpu_ns / rng_cpu_ns)
+and the top-1 scans (DESIGN.md section 12):
+  BM_TopIndex            m top-1 queries         args: {shape, mode}
+  BM_TerminalWinners     EA's P_R over m vectors args: {shape, mode}
+                         mode 0 = the restated scalar scan, 1 = Dataset's
+                         blocked kernel; shape = n points × d × m utilities
+                         (fields loop_cpu_ns / kernel_cpu_ns)
 
 --suite scheduler (sequential Interact() vs SessionScheduler with
 cross-session coalesced Q-inference; DESIGN.md section 13):
@@ -76,6 +82,10 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+# kTopShapes in bench/micro_substrates.cc, by index.
+TOP_SHAPES = ("n6413_d20_m65", "n1936_d20_m65", "n311_d4_m111",
+              "n6413_d20_m1")
+
 # Which slash-separated argument of each benchmark selects the execution
 # path (0 = baseline, 1 = variant), and how to label the remaining arguments.
 SUITES = {
@@ -95,6 +105,15 @@ SUITES = {
                 "baseline_field": "std_cpu_ns",
                 "variant_field": "rng_cpu_ns",
             },
+            **{
+                name: {
+                    "mode_arg": 1,
+                    "label": lambda rest: TOP_SHAPES[rest[0]],
+                    "baseline_field": "loop_cpu_ns",
+                    "variant_field": "kernel_cpu_ns",
+                }
+                for name in ("BM_TopIndex", "BM_TerminalWinners")
+            },
         },
         # Field names keep their historical suite-specific spelling so the
         # checked-in BENCH_micro.json stays diff-stable.
@@ -104,7 +123,12 @@ SUITES = {
         "produce bit-identical results (DESIGN.md section 12). BM_RngDraw "
         "rows instead read speedup = std_cpu_ns / rng_cpu_ns: the same "
         "draws from std::mt19937_64 and from Rng's checkpointable "
-        "Mt19937_64 (DESIGN.md section 14), so ~1.0 is the claim",
+        "Mt19937_64 (DESIGN.md section 14), so ~1.0 is the claim. "
+        "BM_TopIndex / BM_TerminalWinners rows read speedup = loop_cpu_ns / "
+        "kernel_cpu_ns: the restated scalar first-maximum scan against "
+        "Dataset's attribute-blocked top-1 kernel at n points x d "
+        "attributes x m utilities, with identical indices (DESIGN.md "
+        "section 12)",
     },
     "scheduler": {
         "benchmarks": {

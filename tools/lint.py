@@ -50,6 +50,12 @@ Rules (see DESIGN.md section 11):
                 section 18). Training-side owners (src/nn/, src/rl/,
                 core/ea.*, core/aa.*) and the trainer's publish hook are
                 exempt.
+  fma           fused multiply-add under src/: "fma", or an ISA that
+                implies it ("avx512*", "arch=..."), inside a target /
+                target_clones attribute, and std::fma / fma() /
+                __builtin_fma calls. A fused multiply-add rounds once where
+                Dot, GemmTransposedB and the top-1 kernel round twice, so
+                it would break their bit-identity (DESIGN.md section 12).
 
 Usage: tools/lint.py [paths...]   (defaults to src/)
 Exit status is the number of findings (0 == clean).
@@ -182,6 +188,15 @@ MODEL_OWNERSHIP_RE = re.compile(
     r"\bnn::Network\b|\bDqnAgent\b|\b(?:main|target)_network\s*\("
 )
 
+# Bit-identity discipline (DESIGN.md section 12): every multiply and add in
+# the numeric kernels rounds separately, on every host and clone.
+FMA_SCOPE = "src/"
+FMA_TARGET_RE = re.compile(r"\btarget(?:_clones)?\s*\(([^)]*)\)")
+FMA_ISA_RE = re.compile(r"fma|avx512|arch=")
+FMA_CALL_RE = re.compile(
+    r"(?<![A-Za-z0-9_.])(?:std::)?fma[fl]?\s*\(|\b__builtin_fma[fl]?\s*\("
+)
+
 SUPPRESS_TOKEN = "float-eq-ok"
 
 LINE_COMMENT_RE = re.compile(r"//.*$")
@@ -220,7 +235,26 @@ def lint_file(path: Path) -> list:
         if "/*" in code and "*/" not in code:
             code = code.split("/*", 1)[0]
             in_block_comment = True
+        # The attribute check reads string literals, so it runs before they
+        # are stripped.
+        with_strings = LINE_COMMENT_RE.sub("", code)
         code = strip_noise(code)
+
+        if rel.startswith(FMA_SCOPE):
+            target = FMA_TARGET_RE.search(with_strings)
+            if (target and FMA_ISA_RE.search(target.group(1))) or (
+                FMA_CALL_RE.search(code)
+            ):
+                findings.append(
+                    (
+                        rel,
+                        lineno,
+                        "fma",
+                        "fused multiply-add (or an ISA implying it); every "
+                        "multiply and add must round separately to keep "
+                        "the kernels bit-identical (DESIGN.md section 12)",
+                    )
+                )
 
         m = BANNED_CALL_RE.search(code)
         if m:
