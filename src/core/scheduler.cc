@@ -1,5 +1,7 @@
 #include "core/scheduler.h"
 
+#include <algorithm>
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <utility>
@@ -63,10 +65,15 @@ SessionScheduler::SessionId SessionScheduler::Add(
   // budget); it then never becomes runnable.
   slot.state = slot.session->Finished() ? SlotState::kFinished
                                         : SlotState::kRunnable;
-  if (slot.state == SlotState::kRunnable) ++active_;
+  const bool runnable = slot.state == SlotState::kRunnable;
   slots_.push_back(std::move(slot));
   const SessionId id = slots_.size() - 1;
-  if (slots_[id].state == SlotState::kFinished) EmitHarvest(id);
+  if (runnable) {
+    ++active_;
+    ready_.push_back(id);
+  } else {
+    EmitHarvest(id);
+  }
   return id;
 }
 
@@ -180,7 +187,10 @@ Result<SessionScheduler> SessionScheduler::RestoreAll(
         break;
     }
     if (r.failed()) break;
-    if (slot.state == SlotState::kRunnable) ++scheduler.active_;
+    if (slot.state == SlotState::kRunnable) {
+      ++scheduler.active_;
+      scheduler.ready_.push_back(scheduler.slots_.size());
+    }
     scheduler.slots_.push_back(std::move(slot));
   }
   ISRL_RETURN_IF_ERROR(r.status());
@@ -193,7 +203,13 @@ Result<SessionScheduler> SessionScheduler::RestoreAll(
 
 // Reached cross-thread only under the owning shard's exec_mu capability
 // (serve/sharding.h); no internal locking by design — see the class comment.
-std::vector<PendingQuestion> SessionScheduler::Tick() {
+std::vector<PendingQuestion> SessionScheduler::Tick(
+    std::vector<SessionId>* finished) {
+  // Visit only the ready list, in id order: the order a scan of every slot
+  // would meet the runnable ones in. Ids cancelled since they were queued
+  // fail the state checks below.
+  std::sort(ready_.begin(), ready_.end());
+
   // Coalesced scoring pass: group the pending feature rows of all runnable
   // sessions by pinned model snapshot, in first-seen session order. Group
   // layout and batch size never affect a row's scores (batched scoring is
@@ -207,7 +223,7 @@ std::vector<PendingQuestion> SessionScheduler::Tick() {
     std::vector<std::pair<size_t, size_t>> members;  // (session id, row count)
   };
   std::vector<Group> groups;
-  for (size_t id = 0; id < slots_.size(); ++id) {
+  for (const SessionId id : ready_) {
     Slot& slot = slots_[id];
     if (slot.state != SlotState::kRunnable) continue;
     const Matrix* features = slot.session->PendingCandidateFeatures();
@@ -242,17 +258,11 @@ std::vector<PendingQuestion> SessionScheduler::Tick() {
 
   // Question pass: collect every runnable session's next question, in id
   // order so any session-shared state (unseeded sessions, trace Rngs) is
-  // consumed in a reproducible order. Slots already awaiting an answer
-  // re-emit their in-flight question (NextQuestion is idempotent): after a
-  // crash recovery replays a partial tick, the preempted questions must
-  // reach a user again or their sessions would stay active forever.
+  // consumed in a reproducible order.
   std::vector<PendingQuestion> questions;
-  for (size_t id = 0; id < slots_.size(); ++id) {
+  for (const SessionId id : ready_) {
     Slot& slot = slots_[id];
-    if (slot.state != SlotState::kRunnable &&
-        slot.state != SlotState::kAwaitingAnswer) {
-      continue;
-    }
+    if (slot.state != SlotState::kRunnable) continue;
     std::optional<SessionQuestion> question = slot.session->NextQuestion();
     if (question.has_value()) {
       slot.state = SlotState::kAwaitingAnswer;
@@ -261,7 +271,22 @@ std::vector<PendingQuestion> SessionScheduler::Tick() {
       slot.state = SlotState::kFinished;
       --active_;
       EmitHarvest(id);
+      if (finished != nullptr) finished->push_back(id);
     }
+  }
+  ready_.clear();
+  return questions;
+}
+
+std::vector<PendingQuestion> SessionScheduler::InFlight() {
+  std::vector<PendingQuestion> questions;
+  for (size_t id = 0; id < slots_.size(); ++id) {
+    Slot& slot = slots_[id];
+    if (slot.state != SlotState::kAwaitingAnswer) continue;
+    // NextQuestion() is idempotent while the answer is outstanding.
+    std::optional<SessionQuestion> question = slot.session->NextQuestion();
+    ISRL_CHECK(question.has_value());
+    questions.push_back(PendingQuestion{id, std::move(*question)});
   }
   return questions;
 }
@@ -316,6 +341,7 @@ Status SessionScheduler::TryPostAnswer(SessionId id, Answer answer) {
   }
   slot.session->PostAnswer(answer);
   slot.state = SlotState::kRunnable;
+  ready_.push_back(id);
   return Status::Ok();
 }
 
@@ -389,8 +415,11 @@ Result<InteractionResult> SessionScheduler::TryTake(SessionId id) {
 std::vector<InteractionResult> DriveWithUsers(
     SessionScheduler& scheduler, const std::vector<UserOracle*>& users) {
   ISRL_CHECK_EQ(users.size(), scheduler.size());
-  while (scheduler.active() > 0) {
-    for (const PendingQuestion& pq : scheduler.Tick()) {
+  // A recovered population can hold questions asked before the crash; no
+  // Tick() asks them again.
+  for (std::vector<PendingQuestion> questions = scheduler.InFlight();
+       scheduler.active() > 0; questions = scheduler.Tick()) {
+    for (const PendingQuestion& pq : questions) {
       scheduler.PostAnswer(
           pq.session_id,
           users[pq.session_id]->Ask(pq.question.first, pq.question.second));
@@ -406,49 +435,43 @@ std::vector<InteractionResult> DriveWithUsers(
 
 namespace {
 
-/// Appends one WAL record to a Writer (shared by the full-store payload and
-/// the append-mode delta frames).
-void EncodeWalRecord(const WalRecord& record, snapshot::Writer* w) {
-  w->U64(record.session_id);
-  w->U8(record.kind);
-  w->U8(static_cast<uint8_t>(record.answer));
+/// Appends the count and the records of `wal` from index `begin` on (shared
+/// by the full-store payload and the append-mode delta frames).
+void EncodeWalRecords(const std::vector<WalRecord>& wal, size_t begin,
+                      snapshot::Writer* w) {
+  w->U64(wal.size() - begin);
+  for (size_t i = begin; i < wal.size(); ++i) {
+    w->U64(wal[i].session_id);
+    w->U8(wal[i].kind);
+    w->U8(static_cast<uint8_t>(wal[i].answer));
+  }
 }
 
-/// Reads one WAL record; fails the reader on malformed kind/answer values.
-WalRecord DecodeWalRecord(snapshot::Reader* r) {
-  WalRecord record;
-  record.session_id = r->U64();
-  record.kind = r->U8();
-  uint8_t answer = r->U8();
-  if (r->failed()) return record;
-  if (record.kind > WalRecord::kCancel) {
-    r->Fail("bad WAL record kind");
-    return record;
-  }
-  if (answer > static_cast<uint8_t>(Answer::kNoAnswer)) {
-    r->Fail("bad WAL answer value");
-    return record;
-  }
-  record.answer = static_cast<Answer>(answer);
-  return record;
-}
-
-/// Parses the records of one append-mode delta frame into `out`. Returns
+/// Reads a counted run of WAL records that must end the payload. Returns
 /// non-OK (and leaves `out` untouched) on any malformed byte, so a torn
 /// append never contributes partial records.
-Status DecodeWalDelta(const std::string& payload,
-                      std::vector<WalRecord>* out) {
-  snapshot::Reader r(payload);
-  uint64_t count = r.U64();
-  if (count > snapshot::kMaxElements) r.Fail("implausible WAL delta length");
+Status DecodeWalRecords(snapshot::Reader* r, std::vector<WalRecord>* out) {
+  uint64_t count = r->U64();
+  if (count > snapshot::kMaxElements) r->Fail("implausible WAL length");
   std::vector<WalRecord> records;
-  for (uint64_t i = 0; !r.failed() && i < count; ++i) {
-    records.push_back(DecodeWalRecord(&r));
+  for (uint64_t i = 0; !r->failed() && i < count; ++i) {
+    WalRecord record;
+    record.session_id = r->U64();
+    record.kind = r->U8();
+    const uint8_t answer = r->U8();
+    if (record.kind > WalRecord::kCancel) {
+      r->Fail("bad WAL record kind");
+    } else if (answer > static_cast<uint8_t>(Answer::kNoAnswer)) {
+      r->Fail("bad WAL answer value");
+    } else {
+      record.answer = static_cast<Answer>(answer);
+      records.push_back(record);
+    }
   }
-  ISRL_RETURN_IF_ERROR(r.status());
-  if (!r.AtEnd()) {
+  ISRL_RETURN_IF_ERROR(r->status());
+  if (!r->AtEnd()) {
     return Status::InvalidArgument(
-        "snapshot payload: trailing bytes after WAL delta");
+        "snapshot payload: trailing bytes after WAL");
   }
   out->insert(out->end(), records.begin(), records.end());
   return Status::Ok();
@@ -474,10 +497,7 @@ void SessionStore::LogCancel(size_t session_id) {
 std::string SessionStore::Serialize() const {
   snapshot::Writer w;
   w.Str(population_);
-  w.U64(wal_.size());
-  for (const WalRecord& record : wal_) {
-    EncodeWalRecord(record, &w);
-  }
+  EncodeWalRecords(wal_, 0, &w);
   return snapshot::WrapFrame(kStoreKind, kStoreVersion, w.bytes());
 }
 
@@ -492,16 +512,7 @@ Result<SessionStore> SessionStore::DecodePayload(const std::string& payload) {
   snapshot::Reader r(payload);
   SessionStore store;
   store.population_ = r.Str();
-  uint64_t count = r.U64();
-  if (count > snapshot::kMaxElements) r.Fail("implausible WAL length");
-  for (uint64_t i = 0; !r.failed() && i < count; ++i) {
-    store.wal_.push_back(DecodeWalRecord(&r));
-  }
-  ISRL_RETURN_IF_ERROR(r.status());
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument(
-        "snapshot payload: trailing bytes after WAL");
-  }
+  ISRL_RETURN_IF_ERROR(DecodeWalRecords(&r, &store.wal_));
   return store;
 }
 
@@ -521,10 +532,7 @@ Status SessionStore::SyncFile(const std::string& path) {
   }
   if (synced_wal_ == wal_.size()) return Status::Ok();
   snapshot::Writer w;
-  w.U64(wal_.size() - synced_wal_);
-  for (size_t i = synced_wal_; i < wal_.size(); ++i) {
-    EncodeWalRecord(wal_[i], &w);
-  }
+  EncodeWalRecords(wal_, synced_wal_, &w);
   Status appended = snapshot::AppendFileBytes(
       path, snapshot::WrapFrame(kStoreWalKind, kStoreWalVersion, w.bytes()));
   if (!appended.ok()) {
@@ -581,7 +589,8 @@ Result<SessionStore> SessionStore::LoadFile(const std::string& path) {
       clean_tail = false;  // foreign bytes: stop at the last good frame
       break;
     }
-    if (!DecodeWalDelta(delta_payload, &store.wal_).ok()) {
+    snapshot::Reader delta(delta_payload);
+    if (!DecodeWalRecords(&delta, &store.wal_).ok()) {
       clean_tail = false;
       break;
     }
@@ -638,6 +647,8 @@ Result<SessionScheduler> RecoverScheduler(const SessionStore& store,
                  i, posted.message().c_str()));
     }
   }
+  // Sessions the last replayed tick asked but the log never answered are
+  // awaiting; their questions come back through InFlight(), not Tick().
   return scheduler;
 }
 
@@ -649,9 +660,12 @@ Result<DurableDriveOutcome> DriveWithUsersDurable(
   store.BeginEpoch(std::move(snapshot));
   DurableDriveOutcome outcome;
   size_t answers = 0;
-  size_t ticks = 0;
-  while (scheduler.active() > 0) {
-    for (const PendingQuestion& pq : scheduler.Tick()) {
+  // Pass 0 answers the questions a crash cut off before their answers were
+  // logged; pass t answers the t-th Tick().
+  std::vector<PendingQuestion> questions = scheduler.InFlight();
+  for (size_t ticks = 0; scheduler.active() > 0;
+       ++ticks, questions = scheduler.Tick()) {
+    for (const PendingQuestion& pq : questions) {
       if (answers == crash.after_answers) {
         // Simulated crash BEFORE the Ask: the user for this (and every
         // later) question never consumes an Rng draw, so recovery resumes
@@ -665,9 +679,8 @@ Result<DurableDriveOutcome> DriveWithUsersDurable(
       scheduler.PostAnswer(pq.session_id, answer);
       ++answers;
     }
-    ++ticks;
-    if (checkpoint_every_ticks > 0 && ticks % checkpoint_every_ticks == 0 &&
-        scheduler.active() > 0) {
+    if (ticks > 0 && checkpoint_every_ticks > 0 &&
+        ticks % checkpoint_every_ticks == 0 && scheduler.active() > 0) {
       ISRL_ASSIGN_OR_RETURN(std::string fresh, scheduler.CheckpointAll());
       store.BeginEpoch(std::move(fresh));
     }

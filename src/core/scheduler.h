@@ -39,7 +39,7 @@
 
 namespace isrl {
 
-/// A question emitted by Tick(): which session asks it, and what it asks.
+/// A question emitted by Tick() or InFlight(): which session asks what.
 struct PendingQuestion {
   size_t session_id = 0;
   SessionQuestion question;
@@ -64,6 +64,7 @@ using HarvestSink = std::function<void(size_t, const SessionTraceRecord&)>;
 ///
 ///   SessionScheduler scheduler;
 ///   for (...) scheduler.Add(algorithm.StartSession(config));  // seeded!
+///   // (after RecoverScheduler: answer scheduler.InFlight() first)
 ///   while (scheduler.active() > 0) {
 ///     for (const PendingQuestion& pq : scheduler.Tick()) {
 ///       scheduler.PostAnswer(pq.session_id, AnswerSomehow(pq.question));
@@ -73,9 +74,12 @@ using HarvestSink = std::function<void(size_t, const SessionTraceRecord&)>;
 ///
 /// Answers may arrive in any order and across any number of ticks — a
 /// session whose user is still thinking simply stays out of the next
-/// tick's batch. Determinism: sessions are processed in id order and the
-/// coalesced batch only changes *which rows share a GEMM call*, never a
-/// row's scores, so results are independent of answer arrival order.
+/// tick's batch, and a Tick() visits only the sessions made runnable since
+/// the last one. Each question is emitted once; InFlight() is the only
+/// re-emission path (DESIGN.md §13). Determinism: sessions are processed in
+/// id order and the coalesced batch only changes *which rows share a GEMM
+/// call*, never a row's scores, so results are independent of answer
+/// arrival order.
 ///
 /// Concurrency contract (DESIGN.md §16): a SessionScheduler is NOT
 /// internally synchronized — it is a single-threaded object that holds no
@@ -131,8 +135,13 @@ class SessionScheduler {
   /// are grouped by pinned model snapshot (in first-seen session order),
   /// each group runs one batched Score, and the per-session slices are
   /// posted back. Then NextQuestion() is collected per session in id order.
-  /// Sessions that terminate contribute no question and become finished.
-  std::vector<PendingQuestion> Tick();
+  /// Sessions that terminate contribute no question, become finished and
+  /// are appended to `finished` when given. Awaiting sessions are skipped.
+  std::vector<PendingQuestion> Tick(std::vector<SessionId>* finished = nullptr);
+
+  /// Every awaiting session's outstanding question again, in id order: for
+  /// users who may have lost it, after RecoverScheduler or a serving restart.
+  std::vector<PendingQuestion> InFlight();
 
   /// Delivers a user's answer; the session becomes runnable for the next
   /// Tick(). The id must currently be awaiting an answer (thin checked
@@ -195,16 +204,18 @@ class SessionScheduler {
   void EmitHarvest(SessionId id);
 
   std::vector<Slot> slots_;
+  /// Ids made runnable since the last Tick() (cancelled ones are skipped).
+  std::vector<SessionId> ready_;
   size_t active_ = 0;
   HarvestSink harvest_;
 };
 
 /// Convenience driver for simulation: answers every pending question from
-/// the per-session oracle `users[id]` until all sessions finish. Returns
-/// the results in session-id order. This is the batched counterpart of N
-/// sequential Interact() calls — identical results (for seeded sessions),
-/// one coalesced PredictBatch per network per tick instead of one per
-/// session per round.
+/// the per-session oracle `users[id]`, InFlight() first, until all sessions
+/// finish. Returns the results in session-id order. This is the batched
+/// counterpart of N sequential Interact() calls — identical results (for
+/// seeded sessions), one coalesced PredictBatch per network per tick
+/// instead of one per session per round.
 std::vector<InteractionResult> DriveWithUsers(
     SessionScheduler& scheduler,
     const std::vector<UserOracle*>& users);
@@ -294,7 +305,8 @@ class SessionStore {
 /// a hard "WAL out of sync" error, because it means the log and snapshot do
 /// not belong together.
 /// `models` flows into RestoreAll so registry-pinned sessions reopen under
-/// the exact version they were saved with (DESIGN.md §18).
+/// the exact version they were saved with (DESIGN.md §18). Questions the log
+/// left unanswered come back through InFlight(), not Tick().
 Result<SessionScheduler> RecoverScheduler(const SessionStore& store,
                                           const AlgorithmResolver& resolver,
                                           nn::ModelProvider* models = nullptr);

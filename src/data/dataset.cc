@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "common/simd.h"
 
@@ -176,36 +177,42 @@ double Dataset::TopUtility(const Vec& u) const {
 
 Dataset Dataset::Normalized(const std::vector<bool>& higher_is_better,
                             double floor) const {
-  ISRL_CHECK(!points_.empty());
+  std::vector<Vec> rows = points_;
+  NormalizeRows(rows, higher_is_better, floor);
+  Dataset out(std::move(rows));
+  out.names_ = names_;
+  return out;
+}
+
+void NormalizeRows(std::vector<Vec>& rows,
+                   const std::vector<bool>& higher_is_better, double floor) {
+  ISRL_CHECK(!rows.empty());
   ISRL_CHECK_GT(floor, 0.0);
   ISRL_CHECK_LT(floor, 1.0);
+  const size_t dim = rows[0].dim();
   if (!higher_is_better.empty()) {
-    ISRL_CHECK_EQ(higher_is_better.size(), dim_);
+    ISRL_CHECK_EQ(higher_is_better.size(), dim);
   }
 
-  Vec lo(dim_, std::numeric_limits<double>::infinity());
-  Vec hi(dim_, -std::numeric_limits<double>::infinity());
-  for (const Vec& p : points_) {
-    for (size_t c = 0; c < dim_; ++c) {
+  Vec lo(dim, std::numeric_limits<double>::infinity());
+  Vec hi(dim, -std::numeric_limits<double>::infinity());
+  for (const Vec& p : rows) {
+    ISRL_CHECK_EQ(p.dim(), dim);
+    for (size_t c = 0; c < dim; ++c) {
       lo[c] = std::min(lo[c], p[c]);
       hi[c] = std::max(hi[c], p[c]);
     }
   }
 
-  Dataset out(dim_);
-  out.names_ = names_;
-  for (const Vec& p : points_) {
-    Vec q(dim_);
-    for (size_t c = 0; c < dim_; ++c) {
+  for (Vec& p : rows) {
+    for (size_t c = 0; c < dim; ++c) {
       double range = hi[c] - lo[c];
       double t = range > 0.0 ? (p[c] - lo[c]) / range : 1.0;
       bool invert = !higher_is_better.empty() && !higher_is_better[c];
       if (invert) t = 1.0 - t;
-      q[c] = floor + (1.0 - floor) * t;
+      p[c] = floor + (1.0 - floor) * t;
     }
-    out.Add(std::move(q));
   }
-  return out;
 }
 
 }  // namespace isrl

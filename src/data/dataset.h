@@ -64,6 +64,7 @@ class Dataset {
   /// flagged false in `higher_is_better` are inverted first (so that after
   /// normalisation a large value is always preferred); an empty flag vector
   /// means all attributes are higher-is-better. Constant attributes map to 1.
+  /// NormalizeRows() over a copy of the points; keeps the attribute names.
   Dataset Normalized(const std::vector<bool>& higher_is_better = {},
                      double floor = 1e-3) const;
 
@@ -82,6 +83,13 @@ class Dataset {
   std::vector<std::vector<double>> blocks_;
   std::vector<std::string> names_;
 };
+
+/// Min-max normalises `rows` (non-empty, one dimension) in place, per
+/// attribute, with Dataset::Normalized()'s arithmetic. Generators call it
+/// before building their one Dataset, so no raw table is kept alongside.
+void NormalizeRows(std::vector<Vec>& rows,
+                   const std::vector<bool>& higher_is_better = {},
+                   double floor = 1e-3);
 
 }  // namespace isrl
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 namespace isrl {
 namespace {
@@ -14,8 +16,8 @@ double ClampPositive(double v, double lo, double hi) {
 
 Dataset MakeCarDataset(Rng& rng, size_t rows) {
   ISRL_CHECK_GE(rows, 1u);
-  Dataset raw(3);
-  raw.set_attribute_names({"price", "mileage", "mpg"});
+  std::vector<Vec> points;
+  points.reserve(rows);
   for (size_t i = 0; i < rows; ++i) {
     // Age drives both price depreciation and accumulated mileage, producing
     // the negative price↔mileage correlation of a used-car market.
@@ -43,20 +45,19 @@ Dataset MakeCarDataset(Rng& rng, size_t rows) {
     double mpg = ClampPositive(
         55.0 - 22.0 * std::log(base_price / 8000.0) + rng.Gaussian(0.0, 8.0),
         10.0, 60.0);
-    raw.Add(Vec{price, mileage, mpg});
+    points.push_back(Vec{price, mileage, mpg});
   }
   // Price and mileage are smaller-is-better; mpg larger-is-better.
-  return raw.Normalized({false, false, true});
+  NormalizeRows(points, {false, false, true});
+  Dataset cars(std::move(points));
+  cars.set_attribute_names({"price", "mileage", "mpg"});
+  return cars;
 }
 
 Dataset MakePlayerDataset(Rng& rng, size_t rows) {
   ISRL_CHECK_GE(rows, 1u);
-  Dataset raw(kPlayerAttributes);
-  raw.set_attribute_names({
-      "games", "minutes", "points", "fg_made", "fg_pct", "three_made",
-      "three_pct", "ft_made", "ft_pct", "off_rebounds", "def_rebounds",
-      "rebounds", "assists", "steals", "blocks", "turnovers_inv", "fouls_inv",
-      "plus_minus", "usage", "efficiency"});
+  std::vector<Vec> points;
+  points.reserve(rows);
   for (size_t i = 0; i < rows; ++i) {
     // Latent overall skill plus a *competing* role split: the role weights
     // sum to a fixed budget (Dirichlet), so excelling as a scorer costs
@@ -91,7 +92,7 @@ Dataset MakePlayerDataset(Rng& rng, size_t rows) {
     p[12] = stat(playmaking_role, 4.0, 0.4);                          // assists
     p[13] = stat(playmaking_role, 1.0, 0.4);                          // steals
     p[14] = stat(rebounding_role, 0.8, 0.6);                          // blocks
-    // Turnovers/fouls are bad; generate raw counts, inverted by Normalized.
+    // Turnovers/fouls are bad; generate raw counts, inverted by NormalizeRows.
     p[15] = stat(playmaking_role, 2.0, 0.4);                          // tov
     p[16] = ClampPositive(rng.Gaussian(2.2, 0.8), 0.0, 6.0);          // fouls
     p[17] = skill * minutes_share * 6.0 + rng.Gaussian(0.0, 3.0);     // +/-
@@ -99,12 +100,19 @@ Dataset MakePlayerDataset(Rng& rng, size_t rows) {
                               rng.Gaussian(0.18, 0.05), 0.05, 0.45);  // usage
     p[19] = skill * minutes_share * 15.0 *
             std::exp(rng.Gaussian(0.0, 0.2));                         // eff
-    raw.Add(std::move(p));
+    points.push_back(std::move(p));
   }
   std::vector<bool> higher_is_better(kPlayerAttributes, true);
   higher_is_better[15] = false;  // turnovers
   higher_is_better[16] = false;  // fouls
-  return raw.Normalized(higher_is_better);
+  NormalizeRows(points, higher_is_better);
+  Dataset players(std::move(points));
+  players.set_attribute_names({
+      "games", "minutes", "points", "fg_made", "fg_pct", "three_made",
+      "three_pct", "ft_made", "ft_pct", "off_rebounds", "def_rebounds",
+      "rebounds", "assists", "steals", "blocks", "turnovers_inv", "fouls_inv",
+      "plus_minus", "usage", "efficiency"});
+  return players;
 }
 
 }  // namespace isrl

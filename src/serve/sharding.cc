@@ -1,6 +1,5 @@
 #include "serve/sharding.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -59,9 +58,10 @@ ShardedScheduler::SessionId ShardedScheduler::Add(
                            ? shard.scheduler.Add(std::move(session))
                            : shard.scheduler.Add(std::move(session), algorithm);
   ISRL_CHECK_EQ(local, LocalOf(id));
-  shard.mirror.push_back(Mirror::kRunnable);
-  shard.delivered.push_back(0);
-  active_.fetch_add(1, std::memory_order_relaxed);
+  // A session can finish inside StartSession; no tick will report it.
+  const bool finished = shard.scheduler.finished(local);
+  shard.mirror.push_back(finished ? Mirror::kFinished : Mirror::kRunnable);
+  if (!finished) active_.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
@@ -201,12 +201,15 @@ Result<std::unique_ptr<ShardedScheduler>> ShardedScheduler::Recover(
         "%zu — the files do not belong to one run",
         total, saved_sessions));
   }
-  // Round-robin routing puts n/S (+1 for the first n%S shards) sessions on
-  // shard k; a mismatch means the files come from runs with different
-  // populations or shard counts.
+  engine->size_ = total;
+  size_t active = 0;
   for (size_t k = 0; k < num_shards; ++k) {
     Shard& shard = *engine->shards_[k];
     MutexLock exec(shard.exec_mu);
+    MutexLock lock(shard.mu);
+    // Round-robin routing puts n/S (+1 for the first n%S shards) sessions
+    // on shard k; a mismatch means the files come from runs with different
+    // populations or shard counts.
     const size_t expect = total / num_shards + (k < total % num_shards ? 1 : 0);
     if (shard.scheduler.size() != expect) {
       return Status::InvalidArgument(Format(
@@ -215,13 +218,6 @@ Result<std::unique_ptr<ShardedScheduler>> ShardedScheduler::Recover(
           "belong to one run",
           k, shard.scheduler.size(), total, num_shards, expect));
     }
-  }
-  engine->size_ = total;
-  size_t active = 0;
-  for (size_t k = 0; k < num_shards; ++k) {
-    Shard& shard = *engine->shards_[k];
-    MutexLock exec(shard.exec_mu);
-    MutexLock lock(shard.mu);
     SyncMirror(shard);
     active += shard.scheduler.active();
   }
@@ -250,15 +246,13 @@ void ShardedScheduler::SetHarvestSink(HarvestSink sink) {
 void ShardedScheduler::SyncMirror(Shard& shard) {
   const size_t n = shard.scheduler.size();
   shard.mirror.assign(n, Mirror::kRunnable);
-  shard.delivered.assign(n, 0);
   for (size_t i = 0; i < n; ++i) {
     if (shard.scheduler.taken(i)) {
       shard.mirror[i] = Mirror::kTaken;
     } else if (shard.scheduler.finished(i)) {
       shard.mirror[i] = Mirror::kFinished;
     } else if (shard.scheduler.awaiting(i)) {
-      // The in-flight question re-emits on the first tick (at-least-once
-      // delivery); delivered stays 0 so the sink sees it again.
+      // Start()'s first pass delivers its question again (InFlight()).
       shard.mirror[i] = Mirror::kAwaiting;
     }
   }
@@ -271,14 +265,6 @@ void ShardedScheduler::Start(QuestionSink sink) {
   running_.store(true, std::memory_order_release);
   for (size_t k = 0; k < shards_.size(); ++k) {
     Shard& shard = *shards_[k];
-    {
-      // Re-deliver questions that were in flight when the previous Start()
-      // stopped (or when the population was recovered): at-least-once, the
-      // same contract as crash recovery.
-      MutexLock lock(shard.mu);
-      std::fill(shard.delivered.begin(), shard.delivered.end(),
-                static_cast<uint8_t>(0));
-    }
     {
       MutexLock exec(shard.exec_mu);
       shard.last_active = shard.scheduler.active();
@@ -341,20 +327,34 @@ Status ShardedScheduler::error() const {
 }
 
 Status ShardedScheduler::TryPostAnswer(SessionId id, Answer answer) {
+  return Enqueue(id, WalRecord::kAnswer, answer);
+}
+
+Status ShardedScheduler::TryCancel(SessionId id) {
+  return Enqueue(id, WalRecord::kCancel, Answer::kFirst);
+}
+
+Status ShardedScheduler::Enqueue(SessionId id, uint8_t kind, Answer answer) {
   if (id >= size_) {
     return Status::NotFound(
         Format("no session %zu (population of %zu)", id, size_));
   }
   Shard& shard = ShardOf(id);
   const size_t local = LocalOf(id);
-  {
-    MutexLock lock(shard.mu);
-    if (shard.halted) {
-      return Status::FailedPrecondition(
-          Format("session %zu's shard has halted: %s", id,
-                 shard.error.message().c_str()));
+  MutexLock lock(shard.mu);
+  if (shard.halted) {
+    return Status::FailedPrecondition(
+        Format("session %zu's shard has halted: %s", id,
+               shard.error.message().c_str()));
+  }
+  const Mirror state = shard.mirror[local];
+  if (kind == WalRecord::kCancel) {
+    if (state == Mirror::kFinished || state == Mirror::kTaken ||
+        state == Mirror::kCancelQueued) {
+      return Status::Ok();  // idempotent no-op, matching Cancel()
     }
-    switch (shard.mirror[local]) {
+  } else {
+    switch (state) {
       case Mirror::kAwaiting:
         break;
       case Mirror::kRunnable:
@@ -373,49 +373,15 @@ Status ShardedScheduler::TryPostAnswer(SessionId id, Answer answer) {
         return Status::FailedPrecondition(
             Format("session %zu's result was already taken", id));
     }
-    if (!running_.load(std::memory_order_acquire)) {
-      return Status::FailedPrecondition(
-          "the engine is not serving (call Start() first)");
-    }
-    shard.mirror[local] = Mirror::kAnswerQueued;
-    shard.inbox.push_back(Inbound{local, WalRecord::kAnswer, answer});
-    shard.cv.NotifyOne();
   }
-  return Status::Ok();
-}
-
-Status ShardedScheduler::TryCancel(SessionId id) {
-  if (id >= size_) {
-    return Status::NotFound(
-        Format("no session %zu (population of %zu)", id, size_));
+  if (!running_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition(
+        "the engine is not serving (call Start() first)");
   }
-  Shard& shard = ShardOf(id);
-  const size_t local = LocalOf(id);
-  {
-    MutexLock lock(shard.mu);
-    if (shard.halted) {
-      return Status::FailedPrecondition(
-          Format("session %zu's shard has halted: %s", id,
-                 shard.error.message().c_str()));
-    }
-    switch (shard.mirror[local]) {
-      case Mirror::kFinished:
-      case Mirror::kTaken:
-      case Mirror::kCancelQueued:
-        return Status::Ok();  // idempotent no-op, matching Cancel()
-      case Mirror::kRunnable:
-      case Mirror::kAwaiting:
-      case Mirror::kAnswerQueued:
-        break;
-    }
-    if (!running_.load(std::memory_order_acquire)) {
-      return Status::FailedPrecondition(
-          "the engine is not serving (call Start() first)");
-    }
-    shard.mirror[local] = Mirror::kCancelQueued;
-    shard.inbox.push_back(Inbound{local, WalRecord::kCancel, Answer::kFirst});
-    shard.cv.NotifyOne();
-  }
+  shard.mirror[local] = kind == WalRecord::kAnswer ? Mirror::kAnswerQueued
+                                                   : Mirror::kCancelQueued;
+  shard.inbox.push_back(Inbound{local, kind, answer});
+  shard.cv.NotifyOne();
   return Status::Ok();
 }
 
@@ -450,26 +416,22 @@ Result<InteractionResult> ShardedScheduler::TryTake(SessionId id) {
 void ShardedScheduler::WorkerLoop(size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   std::vector<Inbound> batch;
-  std::vector<uint8_t> finished_now;
-  std::vector<std::pair<SessionId, SessionQuestion>> fresh;
-  bool first = true;
-  while (true) {
+  std::vector<size_t> finished;
+  for (bool first = true;; first = false) {
     batch.clear();
     {
       MutexLock lock(shard.mu);
-      if (!first) {
-        while (!stop_.load(std::memory_order_acquire) &&
-               shard.inbox.empty()) {
-          shard.cv.Wait(shard.mu);
-        }
+      while (!first && !stop_.load(std::memory_order_acquire) &&
+             shard.inbox.empty()) {
+        shard.cv.Wait(shard.mu);
       }
-      first = false;
       if (shard.halted) return;
       batch.swap(shard.inbox);
       if (batch.empty() && stop_.load(std::memory_order_acquire)) return;
     }
 
     std::vector<PendingQuestion> questions;
+    finished.clear();
     size_t drained_delta = 0;
     {
       MutexLock exec(shard.exec_mu);
@@ -500,7 +462,11 @@ void ShardedScheduler::WorkerLoop(size_t shard_index) {
           return;
         }
       }
-      questions = shard.scheduler.Tick();
+      questions = shard.scheduler.Tick(&finished);
+      // The first pass after Start() delivers every outstanding question,
+      // this tick's and those left unanswered by a Stop() or a crash: once
+      // per Start(), the at-least-once contract of recovery (§14).
+      if (first) questions = shard.scheduler.InFlight();
       if (shard.durable && options_.checkpoint_every_ticks > 0 &&
           ++shard.ticks >= options_.checkpoint_every_ticks) {
         shard.ticks = 0;
@@ -516,12 +482,6 @@ void ShardedScheduler::WorkerLoop(size_t shard_index) {
           return;
         }
       }
-      const size_t n = shard.scheduler.size();
-      finished_now.assign(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        finished_now[i] =
-            shard.scheduler.finished(i) || shard.scheduler.taken(i);
-      }
       const size_t now_active = shard.scheduler.active();
       if (now_active < shard.last_active) {
         drained_delta = shard.last_active - now_active;
@@ -529,32 +489,36 @@ void ShardedScheduler::WorkerLoop(size_t shard_index) {
       }
     }
 
-    fresh.clear();
     {
       MutexLock lock(shard.mu);
-      // Applied records consumed their question; whatever the session does
-      // next (new question, finish) is fresh.
-      for (const Inbound& in : batch) shard.delivered[in.local_id] = 0;
-      for (size_t i = 0; i < finished_now.size(); ++i) {
-        if (finished_now[i] && shard.mirror[i] != Mirror::kTaken) {
-          shard.mirror[i] = Mirror::kFinished;
+      // Fold the batch and the tick into the mirror. An applied answer
+      // leaves its slot runnable until the tick's question (or finish)
+      // below; an applied cancel finished its slot, which a client may
+      // already have taken if the slot had finished before the cancel.
+      for (const Inbound& in : batch) {
+        Mirror& mirror = shard.mirror[in.local_id];
+        if (in.kind == WalRecord::kCancel) {
+          if (mirror != Mirror::kTaken) mirror = Mirror::kFinished;
+        } else if (mirror == Mirror::kAnswerQueued) {
+          mirror = Mirror::kRunnable;
         }
       }
-      // Tick re-emits in-flight questions (at-least-once across recovery);
-      // the delivered flag turns that into exactly-once towards the sink
-      // while this process lives.
+      for (const size_t local : finished) {
+        shard.mirror[local] = Mirror::kFinished;
+      }
+      // A slot re-delivered by the first pass may already have an answer
+      // or cancellation queued by a client that saw it before a Stop();
+      // only a runnable slot starts awaiting.
       for (const PendingQuestion& pq : questions) {
-        if (shard.delivered[pq.session_id]) continue;
-        shard.delivered[pq.session_id] = 1;
-        shard.mirror[pq.session_id] = Mirror::kAwaiting;
-        fresh.emplace_back(GlobalOf(shard_index, pq.session_id), pq.question);
+        Mirror& mirror = shard.mirror[pq.session_id];
+        if (mirror == Mirror::kRunnable) mirror = Mirror::kAwaiting;
       }
     }
 
     // Deliver outside every lock: the sink may call TryPostAnswer/TryCancel
     // for any session, including this one.
-    for (const auto& [global_id, question] : fresh) {
-      sink_(global_id, question);
+    for (const PendingQuestion& pq : questions) {
+      sink_(GlobalOf(shard_index, pq.session_id), pq.question);
     }
 
     if (drained_delta > 0 &&

@@ -100,9 +100,10 @@ class ShardedScheduler {
  public:
   using SessionId = size_t;
   /// Question delivery callback; invoked on the owning shard's worker
-  /// thread, exactly once per question (re-emitted in-flight questions are
-  /// deduplicated). It may call TryPostAnswer/TryCancel, including for the
-  /// session it was invoked for.
+  /// thread, exactly once per question per Start(): a question still
+  /// unanswered when serving stopped (or when the population was
+  /// recovered) is delivered again by the next Start(). It may call
+  /// TryPostAnswer/TryCancel, including for the session it was invoked for.
   using QuestionSink = std::function<void(SessionId, const SessionQuestion&)>;
 
   explicit ShardedScheduler(ShardedOptions options);
@@ -155,7 +156,8 @@ class ShardedScheduler {
 
   /// Spawns one worker per shard and begins serving: workers drain their
   /// inbound queues, apply answers, tick their scheduler, and deliver new
-  /// questions through `sink`.
+  /// questions through `sink`. Each worker's first pass also delivers its
+  /// shard's in-flight questions (SessionScheduler::InFlight()).
   void Start(QuestionSink sink);
 
   /// Blocks until every session has finished (returns Ok), a shard halts on
@@ -193,9 +195,10 @@ class ShardedScheduler {
   Status error() const;
 
  private:
-  /// Boundary-visible slot state, updated at tick boundaries. The
-  /// SessionScheduler's own state is worker-owned; this mirror is what the
-  /// mutex-sharded boundary validates against without touching it.
+  /// Boundary-visible slot state, folded from each tick's questions and
+  /// finished ids. The SessionScheduler's own state is worker-owned; this
+  /// mirror is what the mutex-sharded boundary validates against without
+  /// touching it.
   enum class Mirror : uint8_t {
     kRunnable,       ///< between answer application and the next tick
     kAwaiting,       ///< question out, no answer queued yet
@@ -236,8 +239,6 @@ class ShardedScheduler {
     CondVar cv;  ///< signalled on inbox push and on Stop()
     std::vector<Inbound> inbox ISRL_GUARDED_BY(mu);
     std::vector<Mirror> mirror ISRL_GUARDED_BY(mu);
-    /// Current question already handed to the sink (dedupe flag).
-    std::vector<uint8_t> delivered ISRL_GUARDED_BY(mu);
     Status error ISRL_GUARDED_BY(mu);
     bool halted ISRL_GUARDED_BY(mu) = false;
 
@@ -252,6 +253,9 @@ class ShardedScheduler {
     return local * shards_.size() + shard;
   }
 
+  /// TryPostAnswer/TryCancel: validates `kind` against the mirror and
+  /// queues it to the owning shard's worker.
+  Status Enqueue(SessionId id, uint8_t kind, Answer answer);
   void WorkerLoop(size_t shard_index);
   /// Marks the shard failed and wakes every waiter. Callable with exec_mu
   /// held (the worker's failure paths) but never with mu held — it takes mu
@@ -259,8 +263,8 @@ class ShardedScheduler {
   void Halt(Shard& shard, Status cause) ISRL_EXCLUDES(shard.mu);
   void NotifyDrained() ISRL_EXCLUDES(drain_mu_);
   /// Rebuilds a shard's boundary mirror from its scheduler's state (used at
-  /// Start and Recover; the shard's worker must be stopped, and the caller
-  /// holds both of the shard's capabilities).
+  /// Recover; the shard's worker must be stopped, and the caller holds both
+  /// of the shard's capabilities).
   static void SyncMirror(Shard& shard)
       ISRL_REQUIRES(shard.exec_mu, shard.mu);
 

@@ -468,6 +468,100 @@ TEST(SchedulerDurabilityTest, CrashAtEveryAnswerRecoversIdentically) {
   }
 }
 
+// Re-emission is explicit. RestoreAll leaves live slots runnable, so
+// nothing is awaiting and the first Tick() re-asks what was in flight at
+// the checkpoint. After a crash at every answer index, InFlight() returns
+// exactly the awaiting sessions' questions, in id order; at a mid-tick cut
+// those are the crashed tick's unanswered questions. Every question lost
+// with the crash comes back exactly once, from InFlight() or (at a tick
+// boundary, where replay stops before the lost tick) from the next Tick().
+TEST(SchedulerDurabilityTest, InFlightAfterRestoreAndMidTickRecovery) {
+  Roster roster(SmallSkyline(200, 3, 75));
+  RunBudget budget;
+  budget.max_rounds = 4;
+  const uint64_t master = 0x1F1Fu;
+  std::vector<Vec> utilities = FleetUtilities(roster.all().size(), 3, 76);
+
+  SessionScheduler ticked = BuildPopulation(roster, budget, master);
+  const std::vector<PendingQuestion> asked = ticked.Tick();
+  ASSERT_EQ(asked.size(), ticked.size());
+  Result<std::string> snapshot = ticked.CheckpointAll();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  Result<SessionScheduler> restored =
+      SessionScheduler::RestoreAll(*snapshot, roster.Resolver());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored->InFlight().empty());
+  const std::vector<PendingQuestion> reasked = restored->Tick();
+  ASSERT_EQ(reasked.size(), asked.size());
+  for (size_t k = 0; k < asked.size(); ++k) {
+    EXPECT_EQ(reasked[k].session_id, asked[k].session_id);
+    ExpectSameQuestion(asked[k].question, reasked[k].question,
+                       "restored " + std::to_string(k));
+  }
+  EXPECT_TRUE(restored->Tick().empty());
+  EXPECT_EQ(restored->InFlight().size(), asked.size());
+
+  size_t mid_tick_cuts = 0;
+  for (size_t crash_at = 0;; ++crash_at) {
+    const std::string label = "crash@" + std::to_string(crash_at);
+    SessionScheduler scheduler = BuildPopulation(roster, budget, master);
+    Fleet fleet = LinearFleet(utilities);
+    SessionStore store;
+    CrashPoint crash;
+    crash.after_answers = crash_at;
+    Result<DurableDriveOutcome> first = DriveWithUsersDurable(
+        scheduler, fleet.users, store, /*checkpoint_every_ticks=*/2, crash);
+    ASSERT_TRUE(first.ok()) << label << ": " << first.status().ToString();
+    if (!first->crashed) break;
+    const std::vector<PendingQuestion> lost = scheduler.InFlight();
+    ASSERT_FALSE(lost.empty()) << label;
+    Result<SessionScheduler> recovered =
+        RecoverScheduler(store, roster.Resolver());
+    ASSERT_TRUE(recovered.ok()) << label << ": "
+                                << recovered.status().ToString();
+
+    std::vector<PendingQuestion> back = recovered->InFlight();
+    size_t awaiting = 0;
+    size_t runnable = 0;
+    for (size_t id = 0; id < recovered->size(); ++id) {
+      if (recovered->awaiting(id)) {
+        ++awaiting;
+      } else if (!recovered->finished(id)) {
+        ++runnable;
+      }
+    }
+    ASSERT_EQ(back.size(), awaiting) << label;
+    if (!back.empty() && runnable > 0) ++mid_tick_cuts;
+    const std::vector<PendingQuestion> next = recovered->Tick();
+    std::vector<int> seen(recovered->size(), 0);
+    for (size_t k = 0; k < back.size(); ++k) {
+      if (k > 0) {
+        EXPECT_LT(back[k - 1].session_id, back[k].session_id);
+      }
+      ++seen[back[k].session_id];
+    }
+    for (const PendingQuestion& pq : next) ++seen[pq.session_id];
+    back.insert(back.end(), next.begin(), next.end());
+    for (const PendingQuestion& old : lost) {
+      EXPECT_EQ(seen[old.session_id], 1) << label << " session "
+                                         << old.session_id;
+      for (const PendingQuestion& pq : back) {
+        if (pq.session_id != old.session_id) continue;
+        ExpectSameQuestion(old.question, pq.question, label);
+      }
+    }
+    // InFlight() holds only lost questions; the tick's others are new.
+    for (size_t k = 0; k < awaiting; ++k) {
+      bool was_lost = false;
+      for (const PendingQuestion& old : lost) {
+        was_lost = was_lost || old.session_id == back[k].session_id;
+      }
+      EXPECT_TRUE(was_lost) << label << " session " << back[k].session_id;
+    }
+  }
+  EXPECT_GT(mid_tick_cuts, 0u);
+}
+
 // Crash-recovery with FaultyUsers: the injected crash fires BEFORE the Ask,
 // so the surviving oracles' fault streams stay aligned with the WAL.
 TEST(SchedulerDurabilityTest, CrashRecoveryKeepsFaultyUserStreamsAligned) {

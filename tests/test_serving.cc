@@ -737,6 +737,249 @@ TEST(ShardedServingTest, ContendedBoundaryHammeringStaysBitIdentical) {
               stolen_count, sessions);
 }
 
+// A session that finishes inside StartSession (a one-point dataset leaves
+// nothing to ask) is finished from admission on: the engine neither counts
+// it as active nor waits for a tick to report it, so the drain completes.
+TEST(ShardedServingTest, SessionFinishedAtAdmissionDoesNotBlockTheDrain) {
+  Dataset single(std::vector<Vec>{Vec{0.5, 0.5, 0.5}});
+  UhRandom trivial(single, Roster::UhOpt());
+  SessionConfig config;
+  config.seed = 1;
+  ASSERT_TRUE(trivial.StartSession(config)->Finished());
+
+  Roster roster(SmallSkyline(200, 3, 291));
+  RunBudget budget;
+  budget.max_rounds = 6;
+  std::vector<Vec> utilities = FleetUtilities(4, 3, 292);
+  ShardedScheduler sharded(ShardedOptions{2});
+  for (size_t i = 0; i < 4; ++i) {
+    config.budget = budget;
+    config.seed = SplitSeed(0xF1D, i);
+    sharded.Add(i == 1 ? trivial.StartSession(config)
+                       : roster.uh_simplex.StartSession(config));
+  }
+  EXPECT_EQ(sharded.active(), 3u);
+  EXPECT_TRUE(sharded.TryCancel(1).ok());  // already finished: a no-op
+  Fleet fleet = LinearFleet(utilities);
+  Result<std::vector<InteractionResult>> results =
+      DriveSharded(sharded, fleet.users);
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  EXPECT_EQ((*results)[1].rounds, 0u);
+  EXPECT_EQ(sharded.active(), 0u);
+}
+
+// ------------------------------------------ generated exactly-once delivery
+
+bool SameQuestion(const SessionQuestion& a, const SessionQuestion& b) {
+  return a.first == b.first && a.second == b.second && a.pair.i == b.pair.i &&
+         a.pair.j == b.pair.j && a.synthetic == b.synthetic;
+}
+
+/// Question number (1-based) at which a session is cancelled instead of
+/// answered; 0 = never.
+std::vector<size_t> CancelRounds(size_t sessions, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<size_t> rounds(sessions, 0);
+  for (size_t& r : rounds) {
+    if (rng.Bernoulli(0.3)) r = static_cast<size_t>(rng.UniformInt(1, 4));
+  }
+  return rounds;
+}
+
+/// The sequential reference with cancellations: DriveWithUsers' loop on one
+/// SessionScheduler, cancelling each session at its CancelRounds() question.
+std::vector<InteractionResult> ReferenceWithCancels(
+    Roster& roster, size_t sessions, const RunBudget& budget, uint64_t master,
+    const std::vector<Vec>& utilities, const std::vector<size_t>& cancel) {
+  SessionScheduler scheduler;
+  std::vector<InteractiveAlgorithm*> algos = roster.all();
+  for (size_t i = 0; i < sessions; ++i) {
+    SessionConfig config;
+    config.budget = budget;
+    config.seed = SplitSeed(master, i);
+    scheduler.Add(algos[i % algos.size()]->StartSession(config));
+  }
+  Fleet fleet = LinearFleet(utilities);
+  std::vector<size_t> asked(sessions, 0);
+  while (scheduler.active() > 0) {
+    for (const PendingQuestion& pq : scheduler.Tick()) {
+      if (++asked[pq.session_id] == cancel[pq.session_id]) {
+        scheduler.Cancel(pq.session_id);
+      } else {
+        scheduler.PostAnswer(pq.session_id,
+                             fleet.users[pq.session_id]->Ask(
+                                 pq.question.first, pq.question.second));
+      }
+    }
+  }
+  std::vector<InteractionResult> results;
+  for (size_t i = 0; i < sessions; ++i) results.push_back(scheduler.Take(i));
+  return results;
+}
+
+/// What the sink has delivered, per session, guarded for the worker threads
+/// that deliver and the client loop that answers.
+struct DeliveryLog {
+  struct Slot {
+    bool outstanding = false;  ///< delivered, not yet answered or cancelled
+    size_t start = 0;          ///< the Start() that last delivered it
+    size_t questions = 0;      ///< distinct questions delivered
+    SessionQuestion question;
+  };
+  Mutex mu;
+  CondVar cv;
+  std::vector<Slot> slots ISRL_GUARDED_BY(mu);
+  size_t start ISRL_GUARDED_BY(mu) = 0;  ///< Start() calls so far
+  size_t finished ISRL_GUARDED_BY(mu) = 0;
+  size_t twice_in_one_start ISRL_GUARDED_BY(mu) = 0;
+  size_t changed_on_redelivery ISRL_GUARDED_BY(mu) = 0;
+  size_t redeliveries ISRL_GUARDED_BY(mu) = 0;
+
+  void Deliver(size_t id, const SessionQuestion& question) {
+    {
+      MutexLock lock(mu);
+      Slot& slot = slots[id];
+      if (!slot.outstanding) {
+        slot.outstanding = true;
+        slot.question = question;
+        ++slot.questions;
+      } else if (slot.start == start) {
+        ++twice_in_one_start;
+      } else {
+        ++redeliveries;
+        if (!SameQuestion(slot.question, question)) ++changed_on_redelivery;
+      }
+      slot.start = start;
+    }
+    cv.NotifyAll();
+  }
+
+  void Finish() {
+    {
+      MutexLock lock(mu);
+      ++finished;
+    }
+    cv.NotifyAll();
+  }
+
+  /// Delivered by the current Start() and not yet answered.
+  bool Ready(size_t id) const ISRL_REQUIRES(mu) {
+    return slots[id].outstanding && slots[id].start == start;
+  }
+};
+
+// Generated schedules (seeded) over 1, 2 and 4 shards: every step withholds
+// each delivered question for a random number of steps, some sessions are
+// cancelled instead of answered, and serving is cycled through Stop()/
+// Start(). The sink must see each question exactly once per Start() — a
+// question still unanswered at a Stop() comes back, unchanged, on the next
+// Start() — and the population must finish bit-identical to the sequential
+// reference with the same cancellations.
+TEST(ShardedServingTest, GeneratedScheduleDeliversEachQuestionOncePerStart) {
+  Roster roster(SmallSkyline(200, 3, 281));
+  RunBudget budget;
+  budget.max_rounds = 8;
+  const size_t sessions = 12;
+  size_t redeliveries = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const uint64_t master = SplitSeed(0xE1AC7, seed);
+    std::vector<Vec> utilities = FleetUtilities(sessions, 3, master);
+    const std::vector<size_t> cancel = CancelRounds(sessions, master + 1);
+    const std::vector<InteractionResult> reference = ReferenceWithCancels(
+        roster, sessions, budget, master, utilities, cancel);
+    for (size_t shards : {1u, 2u, 4u}) {
+      const std::string label = "seed " + std::to_string(seed) + " shards " +
+                                std::to_string(shards);
+      ShardStacks stacks(roster, shards);
+      ShardedScheduler sharded(ShardedOptions{shards});
+      AddShardedPopulation(sharded, stacks, sessions, roster.all().size(),
+                           budget, master);
+      Fleet fleet = LinearFleet(utilities);
+      DeliveryLog log;
+      {
+        MutexLock lock(log.mu);
+        log.slots.resize(sessions);
+      }
+      sharded.SetHarvestSink(
+          [&log](size_t, const SessionTraceRecord&) { log.Finish(); });
+      auto sink = [&log](size_t id, const SessionQuestion& question) {
+        log.Deliver(id, question);
+      };
+      sharded.Start(sink);
+
+      Rng rng(SplitSeed(master, shards));
+      std::vector<int> hold(sessions, -1);  // steps left; -1 = not drawn
+      std::vector<size_t> answered(sessions, 0);
+      while (true) {
+        std::vector<std::pair<size_t, SessionQuestion>> answer_now;
+        std::vector<size_t> cancel_now;
+        {
+          MutexLock lock(log.mu);
+          bool any = false;
+          while (log.finished < sessions) {
+            for (size_t id = 0; id < sessions && !any; ++id) {
+              any = log.Ready(id);
+            }
+            if (any) break;
+            log.cv.Wait(log.mu);
+          }
+          if (log.finished == sessions) break;
+          // Only questions delivered by this Start() are answered: one
+          // held from before a Stop() waits for its re-delivery.
+          for (size_t id = 0; id < sessions; ++id) {
+            if (!log.Ready(id)) continue;
+            if (hold[id] < 0) hold[id] = static_cast<int>(rng.UniformInt(0, 3));
+            if (hold[id]-- > 0) continue;
+            DeliveryLog::Slot& slot = log.slots[id];
+            slot.outstanding = false;
+            if (slot.questions == cancel[id]) {
+              cancel_now.push_back(id);
+            } else {
+              answer_now.emplace_back(id, slot.question);
+            }
+          }
+        }
+        for (const auto& [id, question] : answer_now) {
+          ++answered[id];
+          EXPECT_TRUE(sharded
+                          .TryPostAnswer(id, fleet.users[id]->Ask(
+                                                 question.first,
+                                                 question.second))
+                          .ok())
+              << label << " session " << id;
+        }
+        for (size_t id : cancel_now) {
+          EXPECT_TRUE(sharded.TryCancel(id).ok()) << label << " session " << id;
+        }
+        if (rng.Bernoulli(0.2)) {
+          sharded.Stop();
+          {
+            MutexLock lock(log.mu);
+            ++log.start;
+          }
+          sharded.Start(sink);
+        }
+      }
+      ASSERT_TRUE(sharded.WaitUntilDrained().ok()) << label;
+      sharded.Stop();
+      {
+        MutexLock lock(log.mu);
+        EXPECT_EQ(log.twice_in_one_start, 0u) << label;
+        EXPECT_EQ(log.changed_on_redelivery, 0u) << label;
+        redeliveries += log.redeliveries;
+      }
+      for (size_t id = 0; id < sessions; ++id) {
+        Result<InteractionResult> result = sharded.TryTake(id);
+        ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+        ExpectSameResult(reference[id], *result,
+                         label + " session " + std::to_string(id));
+        EXPECT_EQ(result->rounds, answered[id]) << label << " session " << id;
+      }
+    }
+  }
+  EXPECT_GT(redeliveries, 0u);  // the Stop()/Start() path was exercised
+}
+
 TEST(ShardedServingTest, BoundaryMisuseIsAlwaysAStatus) {
   Roster roster(SmallSkyline(150, 3, 241));
   RunBudget budget;

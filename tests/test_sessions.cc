@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <initializer_list>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -479,6 +480,150 @@ TEST(SchedulerTest, CancelMidFlightAndMixedAlgorithms) {
     InteractionResult r = scheduler.Take(i);
     ASSERT_LT(r.best_index, roster.sky.size()) << algos[i]->name();
   }
+}
+
+// One seeded session of every algorithm, plus its user.
+struct Population {
+  SessionScheduler scheduler;
+  std::vector<std::unique_ptr<UserOracle>> owned;
+  std::vector<UserOracle*> users;
+
+  Population(Roster& roster, const RunBudget& budget, uint64_t master) {
+    Rng urng(master);
+    std::vector<InteractiveAlgorithm*> algos = roster.all();
+    for (size_t i = 0; i < algos.size(); ++i) {
+      SessionConfig config;
+      config.budget = budget;
+      config.seed = SplitSeed(master, i);
+      scheduler.Add(algos[i]->StartSession(config));
+      owned.push_back(std::make_unique<LinearUser>(urng.SimplexUniform(3)));
+      users.push_back(owned.back().get());
+    }
+  }
+
+  void Answer(const PendingQuestion& pq) {
+    scheduler.PostAnswer(pq.session_id, users[pq.session_id]->Ask(
+                                            pq.question.first,
+                                            pq.question.second));
+  }
+};
+
+bool SameQuestion(const SessionQuestion& a, const SessionQuestion& b) {
+  return a.first == b.first && a.second == b.second && a.pair.i == b.pair.i &&
+         a.pair.j == b.pair.j && a.synthetic == b.synthetic;
+}
+
+// A tick asks each question once: a second Tick() with no answer posted
+// returns nothing, and InFlight() is the one call that repeats the
+// outstanding questions — in id order, whatever subset was answered.
+TEST(SchedulerTest, TickAsksOnceAndInFlightRepeatsTheOutstandingQuestions) {
+  Roster roster(SmallSkyline(250, 3, 111));
+  RunBudget budget;
+  budget.max_rounds = 30;
+  const uint64_t master = 0x1F1u;
+  Population reference(roster, budget, master);
+  std::vector<InteractionResult> expected =
+      DriveWithUsers(reference.scheduler, reference.users);
+
+  Population pop(roster, budget, master);
+  EXPECT_TRUE(pop.scheduler.InFlight().empty());  // nothing asked yet
+  const std::vector<PendingQuestion> asked = pop.scheduler.Tick();
+  ASSERT_EQ(asked.size(), pop.scheduler.size());
+  const size_t active = pop.scheduler.active();
+  EXPECT_TRUE(pop.scheduler.Tick().empty());
+  EXPECT_TRUE(pop.scheduler.Tick().empty());
+  EXPECT_EQ(pop.scheduler.active(), active);
+
+  std::vector<PendingQuestion> again = pop.scheduler.InFlight();
+  ASSERT_EQ(again.size(), asked.size());
+  for (size_t k = 0; k < asked.size(); ++k) {
+    EXPECT_EQ(again[k].session_id, k);
+    EXPECT_EQ(asked[k].session_id, k);
+    EXPECT_TRUE(SameQuestion(again[k].question, asked[k].question)) << k;
+  }
+
+  // Answer the odd ids only: the next tick visits just those, and the even
+  // ones stay parked with their original question.
+  for (const PendingQuestion& pq : asked) {
+    if (pq.session_id % 2 == 1) pop.Answer(pq);
+  }
+  std::vector<size_t> finished;
+  const std::vector<PendingQuestion> next = pop.scheduler.Tick(&finished);
+  EXPECT_EQ(next.size() + finished.size(), asked.size() / 2);
+  for (const PendingQuestion& pq : next) EXPECT_EQ(pq.session_id % 2, 1u);
+  for (size_t id : finished) {
+    EXPECT_EQ(id % 2, 1u);
+    EXPECT_TRUE(pop.scheduler.finished(id));
+  }
+  EXPECT_TRUE(pop.scheduler.Tick().empty());
+  const std::vector<PendingQuestion> parked = pop.scheduler.InFlight();
+  ASSERT_EQ(parked.size(), next.size() + asked.size() / 2);
+  for (size_t k = 0; k < parked.size(); ++k) {
+    const size_t id = parked[k].session_id;
+    EXPECT_TRUE(pop.scheduler.awaiting(id));
+    if (k > 0) {
+      EXPECT_LT(parked[k - 1].session_id, id);
+    }
+    if (id % 2 == 0) {
+      EXPECT_TRUE(SameQuestion(parked[k].question, asked[id].question)) << id;
+    }
+  }
+
+  // DriveWithUsers starts from InFlight(), so the population still drains
+  // to the uninterrupted results.
+  std::vector<InteractionResult> results =
+      DriveWithUsers(pop.scheduler, pop.users);
+  ASSERT_EQ(results.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ExpectSameResult(expected[i], results[i], "session " + std::to_string(i));
+  }
+}
+
+// A cancelled session that is still on the ready list — before its first
+// tick, or after its answer was posted — is skipped by Tick(): it asks
+// nothing, is not reported as a tick finish, and leaves active() and every
+// other session's result as they would be without it.
+TEST(SchedulerTest, CancellingARunnableSessionIsSkippedByTheNextTick) {
+  Roster roster(SmallSkyline(250, 3, 121));
+  RunBudget budget;
+  budget.max_rounds = 30;
+  const uint64_t master = 0x2F2u;
+  Population reference(roster, budget, master);
+  std::vector<InteractionResult> expected =
+      DriveWithUsers(reference.scheduler, reference.users);
+
+  Population pop(roster, budget, master);
+  const size_t n = pop.scheduler.size();
+  ASSERT_GT(n, 2u);
+  pop.scheduler.Cancel(0);  // runnable since Add, never asked
+  EXPECT_TRUE(pop.scheduler.finished(0));
+  EXPECT_EQ(pop.scheduler.active(), n - 1);
+  std::vector<size_t> finished;
+  const std::vector<PendingQuestion> first = pop.scheduler.Tick(&finished);
+  EXPECT_TRUE(finished.empty());
+  ASSERT_EQ(first.size(), n - 1);
+  for (const PendingQuestion& pq : first) {
+    EXPECT_NE(pq.session_id, 0u);
+    pop.Answer(pq);
+  }
+  pop.scheduler.Cancel(2);  // runnable again: its answer was just posted
+  EXPECT_EQ(pop.scheduler.active(), n - 2);
+  const std::vector<PendingQuestion> second = pop.scheduler.Tick(&finished);
+  for (const PendingQuestion& pq : second) EXPECT_NE(pq.session_id, 2u);
+  for (size_t id : finished) EXPECT_NE(id, 2u);
+  EXPECT_EQ(second.size() + finished.size(), n - 2);
+  EXPECT_EQ(pop.scheduler.active(), n - 2 - finished.size());
+  EXPECT_TRUE(pop.scheduler.finished(2));
+
+  std::vector<InteractionResult> results =
+      DriveWithUsers(pop.scheduler, pop.users);
+  EXPECT_EQ(pop.scheduler.active(), 0u);
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || i == 2) continue;
+    ExpectSameResult(expected[i], results[i], "session " + std::to_string(i));
+  }
+  EXPECT_EQ(results[0].rounds, 0u);
+  EXPECT_EQ(results[2].rounds, 1u);
 }
 
 // ------------------------------------------------------------ OutcomeCounts
