@@ -1,11 +1,13 @@
 // Geometry substrate benchmarks (google-benchmark): the incremental
 // adjacency-maintained polyhedron vs full re-enumeration, AA's shared-
-// phase-1 rectangle LPs vs independent solves, and the warm-started
-// extreme-point sweep vs per-query cold LPs (DESIGN.md §17).
+// phase-1 rectangle LPs vs independent solves, the warm-started
+// extreme-point sweep vs per-query cold LPs, and the whole AA geometry
+// (inner sphere plus rectangle) on its own (DESIGN.md §17).
 //
 // Mode argument convention (tools/bench_to_json.py --suite geometry):
 // 0 = baseline (seed path: rebuild / independent / cold), 1 = variant
-// (incremental / shared / warm). Both paths produce identical results —
+// (incremental / shared / warm). BM_GeoComputeAaGeometry has no mode: its
+// arguments are {d, |H|}. Both paths produce identical results —
 // bit-identical for cuts and AA rectangles, verdict-identical for the sweep.
 // Each baseline is built from public API: production code has one path.
 //
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/aa_state.h"
 #include "geometry/convex_hull.h"
 #include "geometry/halfspace.h"
 #include "geometry/polyhedron.h"
@@ -140,6 +143,32 @@ BENCHMARK(BM_GeoAaGeometry)
     ->Args({15, 1})
     ->Args({20, 0})
     ->Args({20, 1});
+
+// ---- The whole AA geometry: ComputeAaGeometry's inner-sphere LP plus its
+// 2d rectangle LPs, on session-shaped H (hypercube items oriented around a
+// hidden utility) at d × |H|. The inner sphere is the costly LP at high d
+// (thousands of pivots at d=20), which BM_GeoAaGeometry above does not time.
+// One path only: the checked-in table sets these times beside the parent
+// commit's, measured on the same host. ----
+void BM_GeoComputeAaGeometry(benchmark::State& state) {
+  const size_t d = static_cast<size_t>(state.range(0));
+  const size_t num_cuts = static_cast<size_t>(state.range(1));
+  Rng rng(500 + d);
+  const Vec u = rng.SimplexUniform(d);
+  std::vector<LearnedHalfspace> h;
+  while (h.size() < num_cuts) {
+    LearnedHalfspace lh;
+    lh.h = RandomItemCut(rng, u, d);
+    h.push_back(lh);
+  }
+  for (auto _ : state) {
+    AaGeometry geo = ComputeAaGeometry(d, h);
+    benchmark::DoNotOptimize(geo);
+  }
+}
+BENCHMARK(BM_GeoComputeAaGeometry)
+    ->ArgsProduct({{5, 10, 20}, {8, 16, 32}})
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- Extreme-point sweep: per-query cold LPs (fresh model each time) vs
 // the shared patched model chaining optimal bases between queries. ----

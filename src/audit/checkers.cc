@@ -21,11 +21,10 @@ bool AllFinite(const Vec& v) {
 
 std::vector<std::string> CheckSimplexTableau(const TableauView& view) {
   std::vector<std::string> problems;
-  const auto& rows = *view.rows;
   const auto& rhs = *view.rhs;
   const auto& basis = *view.basis;
   const auto& cost = *view.cost;
-  const size_t num_rows = rows.size();
+  const size_t num_rows = rhs.size();
   const double tol = view.feasibility_tol;
 
   // Primal feasibility: basic values stay non-negative across pivots.
@@ -54,7 +53,7 @@ std::vector<std::string> CheckSimplexTableau(const TableauView& view) {
                                   basis[r], r, r2));
       }
     }
-    const double diag = rows[r][basis[r]];
+    const double diag = view.At(r, basis[r]);
     if (std::abs(diag - 1.0) > 1e-7) {
       problems.push_back(Format("rows[%zu][basis=%zu] = %.17g, expected 1 "
                                 "(basis not canonical)",
@@ -62,10 +61,10 @@ std::vector<std::string> CheckSimplexTableau(const TableauView& view) {
     }
     for (size_t r2 = 0; r2 < num_rows; ++r2) {
       if (r2 == r) continue;
-      if (std::abs(rows[r2][basis[r]]) > 1e-7) {
+      if (std::abs(view.At(r2, basis[r])) > 1e-7) {
         problems.push_back(Format("rows[%zu][basis[%zu]=%zu] = %.17g, "
                                   "expected 0 (basis column not unit)",
-                                  r2, r, basis[r], rows[r2][basis[r]]));
+                                  r2, r, basis[r], view.At(r2, basis[r])));
       }
     }
   }

@@ -28,8 +28,11 @@ namespace isrl::audit {
 /// Read-only view of the dense tableau's state between pivots. The tableau
 /// class itself is file-local to lp/simplex.cc; the solver builds this view
 /// (pointers only) for the hook, and tests build corrupted ones by hand.
+/// The tableau is one row-major buffer: entry (r, c) is rows[r * stride + c]
+/// for c < num_cols ≤ stride.
 struct TableauView {
-  const std::vector<std::vector<double>>* rows = nullptr;
+  const double* rows = nullptr;
+  size_t stride = 0;                            ///< doubles per row
   const std::vector<double>* rhs = nullptr;     ///< one entry per row
   const std::vector<size_t>* basis = nullptr;   ///< basic column per row
   const std::vector<double>* cost = nullptr;    ///< objective over all columns
@@ -37,6 +40,10 @@ struct TableauView {
   size_t first_artificial = 0;  ///< == num_cols when no artificials exist
   int phase = 2;                ///< artificials may be basic only in phase 1
   double feasibility_tol = 1e-9;
+
+  [[nodiscard]] double At(size_t r, size_t c) const {
+    return rows[r * stride + c];
+  }
 };
 
 /// Simplex invariants that must hold after every pivot:

@@ -1,7 +1,8 @@
 // Internal 4-wide vector helpers shared by the library's SIMD kernels
 // (GemmTransposedB in common/matrix.cc, Dataset's top-1 scan in
-// data/dataset.cc). Include only from .cc files: the helpers pass 32-byte
-// vectors by value and are meant to be inlined into a target-cloned kernel.
+// data/dataset.cc, the simplex tableau's row kernels in lp/simplex.cc).
+// Include only from .cc files: the helpers pass 32-byte vectors by value and
+// are meant to be inlined into a target-cloned kernel.
 //
 // The lanes are spelled out with GNU vector extensions (gcc and clang),
 // lowered to SSE2 pairs on the baseline clone and to 256-bit ops on the

@@ -9,9 +9,38 @@
 
 #include "audit/audit.h"
 #include "audit/checkers.h"
+#include "common/simd.h"
 
 namespace isrl::lp {
 namespace {
+
+// The tableau's two element-wise row kernels (DESIGN.md §17). `n` is a
+// multiple of 4 (the tableau stride), so the 4-wide lanes need no tail.
+// Each lane does the scalar loop's separate multiply and subtract, so every
+// entry rounds exactly as `y[j] -= a * x[j]` / `y[j] *= a` would.
+using simd::LoadV4;
+using simd::SplatV4;
+using simd::StoreV4;
+using simd::V4;
+
+// y[j] -= a * x[j]: pricing's reduced-cost update and the pivot's row
+// elimination.
+ISRL_SIMD_TARGET_CLONES
+void SubtractScaled(double* y, const double* x, double a, size_t n) {
+  const V4 av = SplatV4(a);
+  for (size_t j = 0; j < n; j += 4) {
+    StoreV4(y + j, LoadV4(y + j) - av * LoadV4(x + j));
+  }
+}
+
+// y[j] *= a: the pivot row's normalisation.
+ISRL_SIMD_TARGET_CLONES
+void Scale(double* y, double a, size_t n) {
+  const V4 av = SplatV4(a);
+  for (size_t j = 0; j < n; j += 4) StoreV4(y + j, LoadV4(y + j) * av);
+}
+
+constexpr size_t RoundUpTo4(size_t n) { return (n + 3) & ~size_t{3}; }
 
 // Test-only fault injection (see SetLpFaultHookForTest). One global attempt
 // counter across all solves so a hook can fail "the first k attempts".
@@ -20,7 +49,9 @@ size_t g_attempt_counter = 0;
 
 // Internal standard form: maximise c·y subject to A y = b, y ≥ 0, b ≥ 0.
 // Columns: split structural variables, then slacks/surpluses, then
-// artificials. A full dense tableau is maintained.
+// artificials. A full dense tableau is maintained in one row-major buffer:
+// row r is `stride_` doubles at Row(r), the first `num_cols_` of them live
+// and the rest zero padding up to a multiple of 4.
 class Tableau {
  public:
   Tableau(const Model& model, const SimplexOptions& options)
@@ -132,7 +163,7 @@ class Tableau {
       double best_abs = options_.pivot_tol;
       for (size_t r = 0; r < num_rows_; ++r) {
         if (claimed[r] != 0) continue;
-        double a = std::abs(rows_[r][col]);
+        double a = std::abs(Row(r)[col]);
         if (a > best_abs) {
           best_abs = a;
           best_row = r;
@@ -165,17 +196,19 @@ class Tableau {
 
   // Snapshot / replay of the mutable tableau state, used by FamilySolver to
   // share one phase-1 run across a family of objectives. Everything else
-  // (column layout, cost rows) is rebuilt per member from its own model.
-  void SaveState(std::vector<std::vector<double>>* rows,
-                 std::vector<double>* rhs, std::vector<size_t>* basis) const {
-    *rows = rows_;
+  // (column layout, cost rows) is rebuilt per member from its own model;
+  // members share the constraint structure, so the flat buffer's shape
+  // matches and the restore is one copy.
+  void SaveState(std::vector<double>* rows, std::vector<double>* rhs,
+                 std::vector<size_t>* basis) const {
+    *rows = tableau_;
     *rhs = rhs_;
     *basis = basis_;
   }
-  void RestoreState(const std::vector<std::vector<double>>& rows,
+  void RestoreState(const std::vector<double>& rows,
                     const std::vector<double>& rhs,
                     const std::vector<size_t>& basis) {
-    rows_ = rows;
+    tableau_ = rows;
     rhs_ = rhs;
     basis_ = basis;
     is_basic_.assign(num_cols_, 0);
@@ -219,7 +252,6 @@ class Tableau {
     // Determine which rows need an artificial: kEq rows always; inequality
     // rows whose slack coefficient ends up -1 after sign normalisation.
     // Build the dense rows.
-    rows_.assign(num_rows_, std::vector<double>());
     rhs_.assign(num_rows_, 0.0);
     basis_.assign(num_rows_, kNoCol);
 
@@ -257,13 +289,15 @@ class Tableau {
     }
     num_artificial_ = artificial_count;
     num_cols_ = first_artificial_ + num_artificial_;
+    stride_ = RoundUpTo4(num_cols_);
+    tableau_.assign(num_rows_ * stride_, 0.0);
+    reduced_.assign(stride_, 0.0);
 
     size_t artificial_cursor = first_artificial_;
     for (size_t r = 0; r < num_rows_; ++r) {
       const Constraint& c = model.constraints()[r];
       const RowPlan& plan = plans[r];
-      std::vector<double>& row = rows_[r];
-      row.assign(num_cols_, 0.0);
+      double* row = Row(r);
       for (size_t v = 0; v < c.coeffs.dim(); ++v) {
         double a = plan.sign * c.coeffs[v];
         row[col_of_var_[v]] += a;
@@ -309,19 +343,26 @@ class Tableau {
 
       // Reduced costs: c_j - c_B · B^{-1} A_j. With the tableau kept in
       // canonical form (basis columns are unit), the multiplier c_B over
-      // row r is cost[basis_[r]].
+      // row r is cost[basis_[r]]. Priced row-major: every column starts at
+      // cost[j] and takes `-= cb * row_r[j]` for the rows with cb != 0 in
+      // ascending r, the same subtractions in the same order as a
+      // column-at-a-time sum, so each reduced cost is bit-identical to it.
       size_t entering = kNoCol;
       double best_reduced = options_.pivot_tol;
       const size_t col_limit =
           allow_artificial_entering ? num_cols_ : first_artificial_;
+      const size_t priced = RoundUpTo4(col_limit);
+      double* reduced_cost = reduced_.data();
+      std::copy(cost.begin(), cost.begin() + col_limit, reduced_cost);
+      std::fill(reduced_cost + col_limit, reduced_cost + priced, 0.0);
+      for (size_t r = 0; r < num_rows_; ++r) {
+        const double cb = cost[basis_[r]];
+        // float-eq-ok: exact-zero skip-work test
+        if (cb != 0.0) SubtractScaled(reduced_cost, Row(r), cb, priced);
+      }
       for (size_t j = 0; j < col_limit; ++j) {
         if (is_basic_[j] != 0) continue;
-        double reduced = cost[j];
-        for (size_t r = 0; r < num_rows_; ++r) {
-          double cb = cost[basis_[r]];
-          // float-eq-ok: exact-zero skip-work test
-          if (cb != 0.0) reduced -= cb * rows_[r][j];
-        }
+        const double reduced = reduced_cost[j];
         if (reduced > options_.pivot_tol) {
           if (bland) {
             entering = j;
@@ -339,7 +380,7 @@ class Tableau {
       size_t leaving_row = kNoCol;
       double best_ratio = std::numeric_limits<double>::infinity();
       for (size_t r = 0; r < num_rows_; ++r) {
-        double a = rows_[r][entering];
+        double a = Row(r)[entering];
         if (a > options_.pivot_tol) {
           double ratio = rhs_[r] / a;
           if (ratio < best_ratio - 1e-12 ||
@@ -369,7 +410,8 @@ class Tableau {
   void AuditTableau(const std::vector<double>& cost, int phase,
                     const char* site) const {
     audit::TableauView view;
-    view.rows = &rows_;
+    view.rows = tableau_.data();
+    view.stride = stride_;
     view.rhs = &rhs_;
     view.basis = &basis_;
     view.cost = &cost;
@@ -381,21 +423,22 @@ class Tableau {
                             audit::CheckSimplexTableau(view));
   }
 
+  // Padding columns stay ±0 through both kernels and are never read.
   void Pivot(size_t pivot_row, size_t pivot_col) {
-    std::vector<double>& prow = rows_[pivot_row];
+    double* prow = Row(pivot_row);
     const double pivot = prow[pivot_col];
     ISRL_DCHECK_GT(std::abs(pivot), 0.0);
     const double inv = 1.0 / pivot;
-    for (double& v : prow) v *= inv;
+    Scale(prow, inv, stride_);
     rhs_[pivot_row] *= inv;
     prow[pivot_col] = 1.0;  // kill residual round-off
 
     for (size_t r = 0; r < num_rows_; ++r) {
       if (r == pivot_row) continue;
-      double factor = rows_[r][pivot_col];
+      double* row = Row(r);
+      const double factor = row[pivot_col];
       if (factor == 0.0) continue;  // float-eq-ok: exact-zero skip-work
-      std::vector<double>& row = rows_[r];
-      for (size_t j = 0; j < num_cols_; ++j) row[j] -= factor * prow[j];
+      SubtractScaled(row, prow, factor, stride_);
       row[pivot_col] = 0.0;
       rhs_[r] -= factor * rhs_[pivot_row];
       if (rhs_[r] < 0.0 && rhs_[r] > -1e-11) rhs_[r] = 0.0;
@@ -411,9 +454,10 @@ class Tableau {
   void DriveOutArtificials() {
     for (size_t r = 0; r < num_rows_; ++r) {
       if (basis_[r] < first_artificial_) continue;
+      double* row = Row(r);
       size_t col = kNoCol;
       for (size_t j = 0; j < first_artificial_; ++j) {
-        if (std::abs(rows_[r][j]) > options_.pivot_tol && is_basic_[j] == 0) {
+        if (std::abs(row[j]) > options_.pivot_tol && is_basic_[j] == 0) {
           col = j;
           break;
         }
@@ -423,7 +467,7 @@ class Tableau {
       } else {
         // Redundant row: zero it so the artificial stays basic at 0 and can
         // never re-enter with a nonzero value.
-        for (size_t j = 0; j < first_artificial_; ++j) rows_[r][j] = 0.0;
+        std::fill(row, row + first_artificial_, 0.0);
         rhs_[r] = 0.0;
       }
     }
@@ -451,6 +495,8 @@ class Tableau {
 
   static constexpr size_t kNoCol = static_cast<size_t>(-1);
 
+  double* Row(size_t r) { return tableau_.data() + r * stride_; }
+
   const SimplexOptions options_;
   const Model* model_ = nullptr;
 
@@ -465,8 +511,10 @@ class Tableau {
   size_t num_artificial_ = 0;
   size_t num_rows_ = 0;
   size_t num_cols_ = 0;
+  size_t stride_ = 0;  // num_cols_ rounded up to a multiple of 4
 
-  std::vector<std::vector<double>> rows_;
+  std::vector<double> tableau_;  // num_rows_ × stride_, row-major
+  std::vector<double> reduced_;  // Optimize()'s reduced-cost scratch row
   std::vector<double> rhs_;
   std::vector<double> cost_;    // internal phase-2 costs over all columns
   std::vector<size_t> basis_;   // basic column per row
@@ -611,7 +659,7 @@ struct FamilySolver::State {
   struct Rung {
     bool ready = false;
     Status ph1_status;  // Ok, or the shared phase-1 failure
-    std::vector<std::vector<double>> rows;
+    std::vector<double> rows;  // the flat tableau after phase 1
     std::vector<double> rhs;
     std::vector<size_t> basis;
     size_t iterations = 0;

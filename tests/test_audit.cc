@@ -173,17 +173,24 @@ TEST_F(AuditorFixture, ResetClearsCountersButKeepsConfig) {
 // Checker: simplex tableau.
 // ---------------------------------------------------------------------------
 
-// A canonical clean tableau: 2 structural columns, 2 basic slacks.
+// A canonical clean tableau: 2 structural columns, 2 basic slacks, laid out
+// as the solver lays it out: one row-major buffer. The stride is wider than
+// the 4 live columns so that a checker indexing by num_cols instead of the
+// stride reads the wrong row.
 struct TableauFixture {
-  std::vector<std::vector<double>> rows{{1.0, 2.0, 1.0, 0.0},
-                                        {3.0, 1.0, 0.0, 1.0}};
+  static constexpr size_t kStride = 8;
+  std::vector<double> rows{1.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+                           3.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0};
   std::vector<double> rhs{4.0, 6.0};
   std::vector<size_t> basis{2, 3};
   std::vector<double> cost{1.0, 1.0, 0.0, 0.0};
 
+  double& At(size_t r, size_t c) { return rows[r * kStride + c]; }
+
   TableauView View() {
     TableauView v;
-    v.rows = &rows;
+    v.rows = rows.data();
+    v.stride = kStride;
     v.rhs = &rhs;
     v.basis = &basis;
     v.cost = &cost;
@@ -223,7 +230,7 @@ TEST(CheckSimplexTableauTest, OutOfRangeBasisCaught) {
 
 TEST(CheckSimplexTableauTest, NonUnitBasisColumnCaught) {
   TableauFixture t;
-  t.rows[1][2] = 0.25;  // basis column 2 now has a second non-zero
+  t.At(1, 2) = 0.25;  // basis column 2 now has a second non-zero
   auto problems = CheckSimplexTableau(t.View());
   ASSERT_FALSE(problems.empty());
   EXPECT_NE(problems[0].find("not unit"), std::string::npos);

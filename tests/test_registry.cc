@@ -393,7 +393,9 @@ TEST(HarvestTest, SchedulerSinkEmitsOneRecordPerFinishedSession) {
   for (const SessionTraceRecord& record : traces.Window()) {
     EXPECT_EQ(record.model_version, 1u);
     EXPECT_GE(record.rounds, 1u);
-    if (record.has_utility) EXPECT_EQ(record.utility.dim(), sky.dim());
+    if (record.has_utility) {
+      EXPECT_EQ(record.utility.dim(), sky.dim());
+    }
   }
 }
 

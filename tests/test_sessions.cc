@@ -208,7 +208,9 @@ TEST(SessionEquivalenceTest, SteppedEqualsBlockingUnderExhaustedBudgets) {
       LinearUser stepped_user(u);
       InteractionResult stepped = StepByHand(*algo, stepped_user, budget);
       ExpectSameResult(blocking, stepped, algo->name());
-      if (max_rounds > 0) EXPECT_LE(stepped.rounds, max_rounds) << algo->name();
+      if (max_rounds > 0) {
+        EXPECT_LE(stepped.rounds, max_rounds) << algo->name();
+      }
       ASSERT_LT(stepped.best_index, roster.sky.size()) << algo->name();
     }
   }

@@ -54,6 +54,10 @@ DESIGN.md section 17) runs build/bench/geo_substrates instead:
                       mode 0 = independent LPs, 1 = shared-phase-1 family
   BM_GeoExtremeSweep  extreme-point sweep over n points args: {n, mode}
                       mode 0 = cold LP per query, 1 = shared model + warm
+plus one single-path row with no baseline twin:
+  BM_GeoComputeAaGeometry  the whole AA geometry (inner-sphere LP + 2d
+                      rectangle LPs) on session-shaped H  args: {d, |H|}
+                      (field cpu_ns)
 
 The output records, per configuration, both CPU times and their ratio, so
 each checked-in BENCH_*.json is a self-contained before/after table.
@@ -230,6 +234,10 @@ SUITES = {
                 "mode_arg": 1,
                 "label": lambda rest: f"n{rest[0]}",
             },
+            "BM_GeoComputeAaGeometry": {
+                "single": True,
+                "label": lambda args: f"d{args[0]}_h{args[1]}",
+            },
         },
         "baseline_field": "rebuild_cpu_ns",
         "variant_field": "incremental_cpu_ns",
@@ -240,7 +248,11 @@ SUITES = {
         "/ shared simplex phase 1 / warm-started bases). Both paths "
         "produce identical results: bit-identical vertices and AA "
         "geometry, identical extreme-point verdicts (DESIGN.md "
-        "section 17)",
+        "section 17). BM_GeoComputeAaGeometry rows time one path, "
+        "ComputeAaGeometry's 2d+1 LPs at d x |H|, as cpu_ns; the checked-in "
+        "table adds parent_cpu_ns, the same row built against the parent "
+        "commit's src/ and run on the same host, and "
+        "speedup_vs_parent = parent_cpu_ns / cpu_ns",
     },
 }
 
@@ -285,6 +297,9 @@ def distill(raw: dict, suite: dict) -> list:
     )
     # mode benchmarks: (benchmark, config-label) -> {"baseline": ns, ...}
     pairs = {}
+    # single-path benchmarks: (benchmark, args) -> (config-label, ns),
+    # keyed by the numeric args so that rows sort by size
+    singles = {}
     # axis benchmarks: (benchmark, config-label) -> {axis-value: row-times}
     axes = {}
     for row in raw.get("benchmarks", []):
@@ -300,6 +315,9 @@ def distill(raw: dict, suite: dict) -> list:
         args = [int(p) for p in parts[1:] if p.lstrip("-").isdigit()]
         spec = suite["benchmarks"].get(base)
         if spec is None:
+            continue
+        if spec.get("single"):
+            singles[(base, tuple(args))] = (spec["label"](args), to_ns(row))
             continue
         if "axis_arg" in spec:
             axis = args[spec["axis_arg"]]
@@ -356,6 +374,10 @@ def distill(raw: dict, suite: dict) -> list:
             })
         if len(by_axis) == 1:
             missing.append(f"{base}[{label}] (no shards>1 rows)")
+    for (base, _), (label, ns) in sorted(singles.items()):
+        records.append(
+            {"benchmark": base, "config": label, "cpu_ns": round(ns, 1)}
+        )
     if missing:
         raise SystemExit(f"unpaired benchmark configurations: {missing}")
     if not records:
@@ -461,6 +483,12 @@ def main() -> None:
     }
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     for r in out["results"]:
+        if "cpu_ns" in r:
+            print(
+                f"{r['benchmark']:<24} {r['config']:<12} "
+                f"{r['cpu_ns'] / 1e3:>11.1f} us"
+            )
+            continue
         if "one_shard_wall_ns" in r:
             print(
                 f"{r['benchmark']:<24} {r['config']:<20} "

@@ -56,6 +56,12 @@ Rules (see DESIGN.md section 11):
                 __builtin_fma calls. A fused multiply-add rounds once where
                 Dot, GemmTransposedB and the top-1 kernel round twice, so
                 it would break their bit-identity (DESIGN.md section 12).
+  raw-target    a target / target_clones attribute (or `#pragma GCC
+                target`) outside src/common/simd.h. Every cloned kernel
+                goes through ISRL_SIMD_TARGET_CLONES, which carries the
+                ThreadSanitizer ifunc gate (DESIGN.md section 16) and the
+                FMA-free clone list; a hand-written attribute would bypass
+                both.
 
 Usage: tools/lint.py [paths...]   (defaults to src/)
 Exit status is the number of findings (0 == clean).
@@ -195,6 +201,16 @@ FMA_TARGET_RE = re.compile(r"\btarget(?:_clones)?\s*\(([^)]*)\)")
 FMA_ISA_RE = re.compile(r"fma|avx512|arch=")
 FMA_CALL_RE = re.compile(
     r"(?<![A-Za-z0-9_.])(?:std::)?fma[fl]?\s*\(|\b__builtin_fma[fl]?\s*\("
+)
+
+# Dispatch discipline (DESIGN.md sections 12 and 16): ISRL_SIMD_TARGET_CLONES
+# in common/simd.h is the one place a target attribute is spelled. Matched on
+# string-stripped code: `target("...")` / `target_clones("...")`, with or
+# without `gnu::` or the `__...__` spelling.
+RAW_TARGET_ALLOWED_FILES = {"src/common/simd.h"}
+RAW_TARGET_RE = re.compile(
+    r"(?<![\w.>])(?:__)?target(?:_clones)?(?:__)?\s*\(\s*\"\""
+    r"|\btarget_clones\b"
 )
 
 SUPPRESS_TOKEN = "float-eq-ok"
@@ -366,6 +382,19 @@ def lint_file(path: Path) -> list:
                     "raw network/agent reference in serving-side code; "
                     "pin an immutable nn::ModelSnapshot from the "
                     "ModelRegistry instead (DESIGN.md section 18)",
+                )
+            )
+
+        if rel not in RAW_TARGET_ALLOWED_FILES and RAW_TARGET_RE.search(code):
+            findings.append(
+                (
+                    rel,
+                    lineno,
+                    "raw-target",
+                    "target / target_clones attribute outside "
+                    "common/simd.h; mark the kernel ISRL_SIMD_TARGET_CLONES, "
+                    "which keeps the TSan ifunc gate and the FMA-free clone "
+                    "list (DESIGN.md sections 12 and 16)",
                 )
             )
 
