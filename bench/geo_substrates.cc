@@ -1,14 +1,12 @@
 // Geometry substrate benchmarks (google-benchmark): the incremental
 // adjacency-maintained polyhedron vs full re-enumeration, AA's shared-
-// phase-1 rectangle LPs vs independent solves, the warm-started
-// extreme-point sweep vs per-query cold LPs, and the whole AA geometry
+// phase-1 rectangle LPs vs independent solves, and the whole AA geometry
 // (inner sphere plus rectangle) on its own (DESIGN.md §17).
 //
 // Mode argument convention (tools/bench_to_json.py --suite geometry):
-// 0 = baseline (seed path: rebuild / independent / cold), 1 = variant
-// (incremental / shared / warm). BM_GeoComputeAaGeometry has no mode: its
-// arguments are {d, |H|}. Both paths produce identical results —
-// bit-identical for cuts and AA rectangles, verdict-identical for the sweep.
+// 0 = baseline (seed path: rebuild / independent), 1 = variant
+// (incremental / shared). BM_GeoComputeAaGeometry has no mode: its
+// arguments are {d, |H|}. Both paths produce bit-identical results.
 // Each baseline is built from public API: production code has one path.
 //
 // Cut normals come from hypercube-uniform item pairs (PreferenceHalfspace),
@@ -24,7 +22,6 @@
 
 #include "common/rng.h"
 #include "core/aa_state.h"
-#include "geometry/convex_hull.h"
 #include "geometry/halfspace.h"
 #include "geometry/polyhedron.h"
 #include "lp/simplex.h"
@@ -169,37 +166,6 @@ void BM_GeoComputeAaGeometry(benchmark::State& state) {
 BENCHMARK(BM_GeoComputeAaGeometry)
     ->ArgsProduct({{5, 10, 20}, {8, 16, 32}})
     ->Unit(benchmark::kMicrosecond);
-
-// ---- Extreme-point sweep: per-query cold LPs (fresh model each time) vs
-// the shared patched model chaining optimal bases between queries. ----
-void BM_GeoExtremeSweep(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const bool warm = state.range(1) == 1;
-  const size_t d = 6;
-  Rng rng(300 + n);
-  std::vector<Vec> pts;
-  for (size_t i = 0; i < n; ++i) {
-    Vec p(d);
-    for (size_t c = 0; c < d; ++c) p[c] = rng.Uniform(0.0, 1.0);
-    pts.push_back(p);
-  }
-  for (auto _ : state) {
-    if (warm) {
-      benchmark::DoNotOptimize(ExtremePointIndices(pts));
-    } else {
-      std::vector<size_t> extreme;
-      for (size_t i = 0; i < n; ++i) {
-        if (IsExtremePoint(pts, i)) extreme.push_back(i);
-      }
-      benchmark::DoNotOptimize(extreme);
-    }
-  }
-}
-BENCHMARK(BM_GeoExtremeSweep)
-    ->Args({24, 0})
-    ->Args({24, 1})
-    ->Args({48, 0})
-    ->Args({48, 1});
 
 }  // namespace
 }  // namespace isrl

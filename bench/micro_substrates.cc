@@ -18,7 +18,6 @@
 #include "core/ea_state.h"
 #include "serve/sharding.h"
 #include "core/terminal.h"
-#include "geometry/volume.h"
 #include "data/skyline.h"
 #include "data/synthetic.h"
 #include "geometry/enclosing_ball.h"
@@ -464,29 +463,6 @@ void BM_EaStateEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_EaStateEncode);
 
-void BM_FeasibilityMargin(benchmark::State& state) {
-  const size_t constraints = static_cast<size_t>(state.range(0));
-  Rng rng(12);
-  const size_t d = 8;
-  std::vector<LearnedHalfspace> h;
-  Vec u = rng.SimplexUniform(d);
-  Dataset data = GenerateSynthetic(200, d, Distribution::kAntiCorrelated, rng);
-  while (h.size() < constraints) {
-    size_t a = static_cast<size_t>(rng.UniformInt(0, 199));
-    size_t b = static_cast<size_t>(rng.UniformInt(0, 199));
-    if (a == b) continue;
-    bool pref = Dot(u, data.point(a)) >= Dot(u, data.point(b));
-    LearnedHalfspace lh;
-    lh.h = PreferenceHalfspace(data.point(pref ? a : b), data.point(pref ? b : a));
-    h.push_back(lh);
-  }
-  Halfspace candidate{rng.SimplexUniform(d) - rng.SimplexUniform(d), 0.0};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(FeasibilityMargin(d, h, candidate));
-  }
-}
-BENCHMARK(BM_FeasibilityMargin)->Arg(8)->Arg(32);
-
 // ---- Sans-IO scheduler throughput (DESIGN.md §13). ----
 // N complete episodes, mode 0 = N sequential Interact() calls, mode 1 = one
 // SessionScheduler interleaving all N with cross-session coalesced
@@ -623,7 +599,8 @@ void RunShardedThroughput(
       config.seed = SplitSeed(17, i);
       // Session i lands on shard i % S; hand it that shard's clone so RL
       // scoring scratch is never shared across worker threads.
-      sharded.Add(clones[i % shards]->StartSession(config));
+      sharded.Add(clones[i % shards]->StartSession(config),
+                  clones[i % shards].get());
       owned.push_back(std::make_unique<LinearUser>(utilities[i]));
       users.push_back(owned.back().get());
     }
@@ -841,18 +818,6 @@ BENCHMARK(BM_CheckpointUtilityApprox)
     ->Args({1024, 0})
     ->Args({1024, 1})
     ->Unit(benchmark::kMillisecond);
-
-void BM_SimplexVolume(benchmark::State& state) {
-  Rng rng(13);
-  std::vector<Halfspace> cuts;
-  for (int i = 0; i < 5; ++i) {
-    cuts.push_back(Halfspace{rng.SimplexUniform(4) - rng.SimplexUniform(4), 0.0});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(SimplexFractionVolume(4, cuts, 1000, rng));
-  }
-}
-BENCHMARK(BM_SimplexVolume);
 
 }  // namespace
 }  // namespace isrl

@@ -97,45 +97,6 @@ std::vector<std::string> CheckSimplexTableau(const TableauView& view) {
   return problems;
 }
 
-std::vector<std::string> CheckWarmStartBasis(const std::vector<size_t>& basis,
-                                             size_t num_rows, size_t num_cols,
-                                             size_t first_artificial) {
-  std::vector<std::string> problems;
-  if (first_artificial > num_cols) {
-    problems.push_back(Format("first_artificial %zu > num_cols %zu "
-                              "(incoherent shape fingerprint)",
-                              first_artificial, num_cols));
-  }
-  if (basis.size() != num_rows) {
-    problems.push_back(Format("basis holds %zu columns for %zu rows",
-                              basis.size(), num_rows));
-    return problems;
-  }
-  std::map<size_t, size_t> first_seen;
-  for (size_t r = 0; r < basis.size(); ++r) {
-    const size_t col = basis[r];
-    if (col >= num_cols) {
-      problems.push_back(Format("basis[%zu] = %zu out of range (num_cols "
-                                "%zu)",
-                                r, col, num_cols));
-      continue;
-    }
-    if (col >= first_artificial) {
-      problems.push_back(Format("basis[%zu] = %zu is an artificial column "
-                                "(first_artificial %zu) — optimal bases "
-                                "never export those",
-                                r, col, first_artificial));
-    }
-    auto [it, inserted] = first_seen.emplace(col, r);
-    if (!inserted) {
-      problems.push_back(Format("basis column %zu repeated in rows %zu and "
-                                "%zu",
-                                col, it->second, r));
-    }
-  }
-  return problems;
-}
-
 std::vector<std::string> CheckPolyhedronVertices(
     size_t dim, const std::vector<Halfspace>& cuts,
     const std::vector<Vec>& vertices, double tol) {

@@ -58,17 +58,6 @@ struct TableauView {
 [[nodiscard]] std::vector<std::string> CheckSimplexTableau(
     const TableauView& view);
 
-/// Internal consistency of a warm-start basis (lp::WarmStart, passed as raw
-/// fields so this header stays solver-independent): `basis` must hold exactly
-/// `num_rows` pairwise-distinct structural/slack column indices — each
-/// < `first_artificial` ≤ `num_cols` — and the fingerprint itself must be
-/// coherent (first_artificial ≤ num_cols). A *stale* basis (right shape,
-/// wrong model) is not detectable here and is a legitimate cold-fallback at
-/// the solver; a basis that fails these checks was corrupted after export.
-[[nodiscard]] std::vector<std::string> CheckWarmStartBasis(
-    const std::vector<size_t>& basis, size_t num_rows, size_t num_cols,
-    size_t first_artificial);
-
 // ---------------------------------------------------------------------------
 // Geometry: polyhedron vertex set and enclosing balls.
 // ---------------------------------------------------------------------------

@@ -79,9 +79,6 @@ enum class Termination {
   kAborted,           ///< unrecoverable internal failure (see result.status)
 };
 
-/// Human-readable name ("converged", "degraded", ...).
-const char* TerminationName(Termination t);
-
 }  // namespace isrl
 
 #endif  // ISRL_COMMON_BUDGET_H_

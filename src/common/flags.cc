@@ -26,10 +26,6 @@ Flags Flags::Parse(int argc, const char* const* argv) {
   return flags;
 }
 
-bool Flags::Has(const std::string& key) const {
-  return values_.count(key) > 0;
-}
-
 std::string Flags::GetString(const std::string& key,
                              const std::string& default_value) const {
   auto it = values_.find(key);

@@ -19,7 +19,6 @@ class Flags {
   /// "--flag" stores "true". Anything else is positional.
   static Flags Parse(int argc, const char* const* argv);
 
-  bool Has(const std::string& key) const;
   std::string GetString(const std::string& key,
                         const std::string& default_value = "") const;
   double GetDouble(const std::string& key, double default_value) const;

@@ -7,39 +7,10 @@
 
 namespace isrl {
 
-Vec Matrix::Multiply(const Vec& x) const {
-  ISRL_CHECK_EQ(x.dim(), cols_);
-  Vec y(rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double* a = row(r);
-    double s = 0.0;
-    for (size_t c = 0; c < cols_; ++c) s += a[c] * x[c];
-    y[r] = s;
-  }
-  return y;
-}
-
-Vec Matrix::MultiplyTransposed(const Vec& x) const {
-  ISRL_CHECK_EQ(x.dim(), rows_);
-  Vec y(cols_);
-  for (size_t r = 0; r < rows_; ++r) {
-    const double* a = row(r);
-    const double xr = x[r];
-    for (size_t c = 0; c < cols_; ++c) y[c] += a[c] * xr;
-  }
-  return y;
-}
-
 Vec Matrix::RowVec(size_t r) const {
   ISRL_CHECK_LT(r, rows_);
   const double* src = row(r);
   return Vec(std::vector<double>(src, src + cols_));
-}
-
-Matrix Matrix::Identity(size_t n) {
-  Matrix m(n, n);
-  for (size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
 }
 
 Matrix Matrix::FromRows(const std::vector<Vec>& rows) {
@@ -219,14 +190,6 @@ void GemmTransposedB(size_t m, size_t n, size_t k, const double* a,
       ci[j] = s;
     }
   }
-}
-
-Matrix MatMulTransposedB(const Matrix& a, const Matrix& b) {
-  ISRL_CHECK_EQ(a.cols(), b.cols());
-  Matrix c(a.rows(), b.rows());
-  GemmTransposedB(a.rows(), b.rows(), a.cols(), a.data().data(),
-                  b.data().data(), nullptr, c.data().data());
-  return c;
 }
 
 bool SolveLinearSystem(Matrix a, Vec b, Vec* x, double pivot_tol) {

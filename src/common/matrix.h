@@ -49,16 +49,8 @@ class Matrix {
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
 
-  /// y = A x (x must have `cols()` entries).
-  Vec Multiply(const Vec& x) const;
-  /// y = Aᵀ x (x must have `rows()` entries).
-  Vec MultiplyTransposed(const Vec& x) const;
-
   /// Row `r` as a Vec (copy).
   Vec RowVec(size_t r) const;
-
-  /// Identity matrix of size n.
-  static Matrix Identity(size_t n);
 
   /// Stacks equal-dimension vectors into a rows.size() × dim matrix (the
   /// batched-NN input layout: one sample per row).
@@ -89,9 +81,6 @@ class Matrix {
 void GemmTransposedB(size_t m, size_t n, size_t k, const double* a,
                      const double* b, const double* bias, double* c,
                      bool accumulate = false);
-
-/// Matrix wrapper over GemmTransposedB: returns A·Bᵀ (a.cols()==b.cols()).
-Matrix MatMulTransposedB(const Matrix& a, const Matrix& b);
 
 /// Solves the square system A x = b by Gaussian elimination with partial
 /// pivoting. Returns false when A is singular up to `pivot_tol` (contents of

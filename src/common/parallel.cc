@@ -100,10 +100,4 @@ void ParallelFor(size_t tasks, size_t threads,
   }
 }
 
-void ParallelFor(size_t tasks, size_t threads,
-                 const std::function<void(size_t task)>& fn) {
-  ParallelFor(tasks, threads,
-              [&fn](size_t /*worker*/, size_t task) { fn(task); });
-}
-
 }  // namespace isrl

@@ -79,10 +79,6 @@ size_t ResolveThreads(size_t requested, size_t tasks);
 void ParallelFor(size_t tasks, size_t threads,
                  const std::function<void(size_t worker, size_t task)>& fn);
 
-/// Index-only convenience overload.
-void ParallelFor(size_t tasks, size_t threads,
-                 const std::function<void(size_t task)>& fn);
-
 }  // namespace isrl
 
 #endif  // ISRL_COMMON_PARALLEL_H_

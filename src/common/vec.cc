@@ -47,16 +47,6 @@ double Vec::Sum() const {
   return s;
 }
 
-double Vec::Max() const {
-  ISRL_CHECK(!data_.empty());
-  return *std::max_element(data_.begin(), data_.end());
-}
-
-double Vec::Min() const {
-  ISRL_CHECK(!data_.empty());
-  return *std::min_element(data_.begin(), data_.end());
-}
-
 size_t Vec::ArgMax() const {
   ISRL_CHECK(!data_.empty());
   return static_cast<size_t>(
@@ -78,7 +68,6 @@ std::string Vec::ToString(int precision) const {
 Vec operator+(Vec a, const Vec& b) { return a += b; }
 Vec operator-(Vec a, const Vec& b) { return a -= b; }
 Vec operator*(Vec a, double s) { return a *= s; }
-Vec operator*(double s, Vec a) { return a *= s; }
 Vec operator/(Vec a, double s) { return a /= s; }
 
 double Dot(const Vec& a, const Vec& b) {

@@ -61,10 +61,6 @@ class Vec {
   double NormSquared() const;
   /// Sum of entries.
   double Sum() const;
-  /// Largest entry value (vector must be non-empty).
-  double Max() const;
-  /// Smallest entry value (vector must be non-empty).
-  double Min() const;
   /// Index of the largest entry (first on ties; vector must be non-empty).
   size_t ArgMax() const;
 
@@ -80,7 +76,6 @@ class Vec {
 Vec operator+(Vec a, const Vec& b);
 Vec operator-(Vec a, const Vec& b);
 Vec operator*(Vec a, double s);
-Vec operator*(double s, Vec a);
 Vec operator/(Vec a, double s);
 
 /// Inner product a·b; dimensions must match.

@@ -103,29 +103,6 @@ AaGeometry ComputeAaGeometry(size_t d, const std::vector<LearnedHalfspace>& h,
   return geo;
 }
 
-double FeasibilityMargin(size_t d, const std::vector<LearnedHalfspace>& h,
-                         const Halfspace& candidate,
-                         size_t max_lp_iterations) {
-  // maximise x s.t. u on simplex, normal·u − offset ≥ x for every half-space
-  // (existing ∪ candidate); x free.
-  lp::Model model;
-  for (size_t i = 0; i < d; ++i) model.AddVariable(0.0);
-  size_t x_var = model.AddVariable(1.0, /*nonneg=*/false);
-  AddSimplexConstraints(&model, d);
-  auto add = [&](const Halfspace& hs) {
-    Vec row(d + 1);
-    for (size_t c = 0; c < d; ++c) row[c] = hs.normal[c];
-    row[x_var] = -1.0;
-    model.AddConstraint(row, lp::Relation::kGe, hs.offset);
-  };
-  for (const LearnedHalfspace& lh : h) add(lh.h);
-  add(candidate);
-  lp::SolveResult result =
-      lp::SolveWithRecovery(model, LpOptions(max_lp_iterations));
-  if (!result.ok()) return 0.0;
-  return result.objective;
-}
-
 Vec EncodeAaState(const AaGeometry& geometry) {
   ISRL_CHECK(geometry.feasible);
   Vec state = geometry.inner.center;

@@ -48,15 +48,6 @@ struct AaGeometry {
     size_t d, const std::vector<LearnedHalfspace>& h,
     size_t max_lp_iterations = 0);
 
-/// Largest margin x such that some u ∈ U satisfies every half-space of `h`
-/// plus `candidate` with slack ≥ x (the Section IV-C feasibility LP). R ∩
-/// candidate is strictly non-empty iff the result is positive. Returns 0 on
-/// LP failure.
-[[nodiscard]] double FeasibilityMargin(size_t d,
-                                       const std::vector<LearnedHalfspace>& h,
-                                       const Halfspace& candidate,
-                                       size_t max_lp_iterations = 0);
-
 /// State vector (B_c ⊕ B_r ⊕ e_min ⊕ e_max); geometry must be feasible.
 Vec EncodeAaState(const AaGeometry& geometry);
 

@@ -26,19 +26,6 @@ double RegretRatioAt(const Dataset& data, size_t index, const Vec& u) {
   return RegretRatio(data, data.point(index), u);
 }
 
-bool IsEpsOptimalForAll(const Dataset& data, const Vec& p,
-                        const std::vector<Vec>& utilities, double epsilon) {
-  // regratio(p, v) ≤ ε  ⇔  ∀q: (1−ε)·v·q − v·p ≤ 0. For ε ≤ 1 both
-  // roundings are monotone in v·q, so the top point decides for every q.
-  const std::vector<size_t> tops = data.TopIndices(utilities);
-  for (size_t i = 0; i < utilities.size(); ++i) {
-    const Vec& v = utilities[i];
-    double vp = Dot(v, p);
-    if ((1.0 - epsilon) * Dot(v, data.point(tops[i])) - vp > 0.0) return false;
-  }
-  return true;
-}
-
 double MaxRegretOver(const Dataset& data, const Vec& p,
                      const std::vector<Vec>& utilities) {
   // Over an empty sample the maximum is vacuously 0 (nothing contradicts p).

@@ -345,12 +345,6 @@ Status SessionScheduler::TryPostAnswer(SessionId id, Answer answer) {
   return Status::Ok();
 }
 
-void SessionScheduler::Cancel(SessionId id) {
-  ISRL_CHECK_LT(id, slots_.size());
-  Status cancelled = TryCancel(id);
-  ISRL_CHECK(cancelled.ok());
-}
-
 Status SessionScheduler::TryCancel(SessionId id) {
   if (id >= slots_.size()) {
     return Status::NotFound(Format("no session %zu (population of %zu)", id,
@@ -358,7 +352,7 @@ Status SessionScheduler::TryCancel(SessionId id) {
   }
   Slot& slot = slots_[id];
   if (slot.state == SlotState::kFinished || slot.state == SlotState::kTaken) {
-    return Status::Ok();  // idempotent no-op, matching Cancel()
+    return Status::Ok();  // idempotent no-op
   }
   slot.session->Cancel();
   slot.state = SlotState::kFinished;
@@ -499,13 +493,6 @@ std::string SessionStore::Serialize() const {
   w.Str(population_);
   EncodeWalRecords(wal_, 0, &w);
   return snapshot::WrapFrame(kStoreKind, kStoreVersion, w.bytes());
-}
-
-Result<SessionStore> SessionStore::Deserialize(const std::string& bytes) {
-  ISRL_ASSIGN_OR_RETURN(
-      std::string payload,
-      snapshot::UnwrapFrame(kStoreKind, kStoreVersion, bytes));
-  return DecodePayload(payload);
 }
 
 Result<SessionStore> SessionStore::DecodePayload(const std::string& payload) {
@@ -650,46 +637,6 @@ Result<SessionScheduler> RecoverScheduler(const SessionStore& store,
   // Sessions the last replayed tick asked but the log never answered are
   // awaiting; their questions come back through InFlight(), not Tick().
   return scheduler;
-}
-
-Result<DurableDriveOutcome> DriveWithUsersDurable(
-    SessionScheduler& scheduler, const std::vector<UserOracle*>& users,
-    SessionStore& store, size_t checkpoint_every_ticks, CrashPoint crash) {
-  ISRL_CHECK_EQ(users.size(), scheduler.size());
-  ISRL_ASSIGN_OR_RETURN(std::string snapshot, scheduler.CheckpointAll());
-  store.BeginEpoch(std::move(snapshot));
-  DurableDriveOutcome outcome;
-  size_t answers = 0;
-  // Pass 0 answers the questions a crash cut off before their answers were
-  // logged; pass t answers the t-th Tick().
-  std::vector<PendingQuestion> questions = scheduler.InFlight();
-  for (size_t ticks = 0; scheduler.active() > 0;
-       ++ticks, questions = scheduler.Tick()) {
-    for (const PendingQuestion& pq : questions) {
-      if (answers == crash.after_answers) {
-        // Simulated crash BEFORE the Ask: the user for this (and every
-        // later) question never consumes an Rng draw, so recovery resumes
-        // with user fault streams exactly where the log left them.
-        outcome.crashed = true;
-        return outcome;
-      }
-      Answer answer =
-          users[pq.session_id]->Ask(pq.question.first, pq.question.second);
-      store.LogAnswer(pq.session_id, answer);  // write-ahead
-      scheduler.PostAnswer(pq.session_id, answer);
-      ++answers;
-    }
-    if (ticks > 0 && checkpoint_every_ticks > 0 &&
-        ticks % checkpoint_every_ticks == 0 && scheduler.active() > 0) {
-      ISRL_ASSIGN_OR_RETURN(std::string fresh, scheduler.CheckpointAll());
-      store.BeginEpoch(std::move(fresh));
-    }
-  }
-  outcome.results.reserve(scheduler.size());
-  for (size_t id = 0; id < scheduler.size(); ++id) {
-    outcome.results.push_back(scheduler.Take(id));
-  }
-  return outcome;
 }
 
 }  // namespace isrl

@@ -20,8 +20,7 @@
 // as one framed blob (CheckpointAll/RestoreAll), and SessionStore adds a
 // write-ahead answer log on top — every answer is logged before it is
 // applied, so replaying "last population snapshot + WAL" reconstructs the
-// exact pre-crash state. DriveWithUsersDurable is the crash-safe driver (and
-// crash-injection harness) over those pieces.
+// exact pre-crash state.
 #ifndef ISRL_CORE_SCHEDULER_H_
 #define ISRL_CORE_SCHEDULER_H_
 
@@ -156,12 +155,9 @@ class SessionScheduler {
   Status TryPostAnswer(SessionId id, Answer answer);
 
   /// Cancels a session mid-episode (the user walked away); it finishes with
-  /// its best-so-far recommendation. No-op when already finished.
-  void Cancel(SessionId id);
-
-  /// Status-returning Cancel: NotFound for an unknown id, Ok otherwise
-  /// (cancelling an already-finished or taken session is an idempotent
-  /// no-op, matching Cancel()).
+  /// its best-so-far recommendation. NotFound for an unknown id, Ok
+  /// otherwise (cancelling an already-finished or taken session is an
+  /// idempotent no-op).
   Status TryCancel(SessionId id);
 
   bool finished(SessionId id) const;
@@ -242,8 +238,7 @@ struct WalRecord {
 ///
 /// Serialize() encodes the pair as one framed "session-store" blob, and
 /// SyncFile() keeps a file of it current; either may be called at any point
-/// (typically right after each log append, which is what
-/// DriveWithUsersDurable models).
+/// (typically right after each log append).
 ///
 /// Like SessionScheduler, a SessionStore is externally synchronized: the
 /// sharded engine guards each shard's store with the same `exec_mu`
@@ -265,7 +260,6 @@ class SessionStore {
   const std::vector<WalRecord>& wal() const { return wal_; }
 
   std::string Serialize() const;
-  static Result<SessionStore> Deserialize(const std::string& bytes);
 
   /// Durable persistence. The first call after BeginEpoch (or on a fresh
   /// store) atomically rewrites `path` with the full store; later calls
@@ -310,36 +304,6 @@ class SessionStore {
 Result<SessionScheduler> RecoverScheduler(const SessionStore& store,
                                           const AlgorithmResolver& resolver,
                                           nn::ModelProvider* models = nullptr);
-
-/// Crash-injection point for the durability harness: the simulated process
-/// dies immediately BEFORE asking the user for answer number
-/// `after_answers` (0-based count of answers already delivered). Dying
-/// before the Ask keeps simulated users' Rng streams aligned across the
-/// crash: a user is only ever consulted for answers that were also logged.
-struct CrashPoint {
-  static constexpr size_t kNever = static_cast<size_t>(-1);
-  size_t after_answers = kNever;
-};
-
-/// Outcome of a durable drive: either the population ran to completion
-/// (results in session-id order) or the injected crash fired first.
-struct DurableDriveOutcome {
-  bool crashed = false;
-  std::vector<InteractionResult> results;
-};
-
-/// DriveWithUsers with durability: checkpoints the population into `store`
-/// up front and then every `checkpoint_every_ticks` ticks (0 = only the
-/// initial checkpoint), and write-ahead-logs every answer before posting
-/// it. With the default CrashPoint it returns exactly DriveWithUsers'
-/// results; with an armed CrashPoint it returns {crashed = true} at the
-/// injected point, leaving `store` holding everything recovery needs.
-Result<DurableDriveOutcome> DriveWithUsersDurable(
-    SessionScheduler& scheduler,
-    const std::vector<UserOracle*>& users,
-    SessionStore& store,
-    size_t checkpoint_every_ticks,
-    CrashPoint crash = CrashPoint{});
 
 }  // namespace isrl
 

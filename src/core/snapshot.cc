@@ -361,32 +361,6 @@ Status DecodeVec(Reader* r, Vec* out) {
   return Status::Ok();
 }
 
-void EncodeMatrix(const Matrix& m, Writer* w) {
-  w->U64(m.rows());
-  w->U64(m.cols());
-  for (double v : m.data()) w->F64(v);
-}
-
-Status DecodeMatrix(Reader* r, Matrix* out) {
-  uint64_t rows = r->U64();
-  uint64_t cols = r->U64();
-  if (!r->failed() &&
-      (rows > kMaxElements || cols > kMaxElements ||
-       (cols != 0 && rows > kMaxElements / cols))) {
-    r->Fail("matrix shape exceeds the element ceiling");
-  }
-  std::vector<double> data;
-  if (!r->failed()) {
-    data.reserve(rows * cols);
-    for (uint64_t i = 0; i < rows * cols && !r->failed(); ++i) {
-      data.push_back(r->FiniteF64());
-    }
-  }
-  ISRL_RETURN_IF_ERROR(Finish(*r, "matrix snapshot"));
-  *out = Matrix(rows, cols, std::move(data));
-  return Status::Ok();
-}
-
 void EncodeHalfspace(const Halfspace& h, Writer* w) {
   EncodeVec(h.normal, w);
   w->F64(h.offset);
@@ -590,16 +564,6 @@ Status DecodeTrace(Reader* r, std::vector<double>* max_regret,
   *max_regret = std::move(mr);
   *cumulative_seconds = std::move(cs);
   *best_index = std::move(bi);
-  return Status::Ok();
-}
-
-Status DecodeTraceInto(Reader* r, InteractionTrace* trace) {
-  std::vector<double> max_regret, cumulative_seconds;
-  std::vector<size_t> best_index;
-  ISRL_RETURN_IF_ERROR(
-      DecodeTrace(r, &max_regret, &cumulative_seconds, &best_index));
-  trace->RestoreHistory(std::move(max_regret), std::move(cumulative_seconds),
-                        std::move(best_index));
   return Status::Ok();
 }
 

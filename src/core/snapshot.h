@@ -17,7 +17,7 @@
 //
 // On top of the scalar layer sit codecs for the state the six algorithm
 // sessions actually carry: Rng engines (restored mid-stream so the draw
-// order continues bit-identically), Vec/Matrix, Polyhedron H-rep + vertex
+// order continues bit-identically), Vec, Polyhedron H-rep + vertex
 // sets (adopted verbatim, validated, never re-enumerated), deadlines
 // (persisted as remaining seconds and re-armed at restore), interaction
 // results, in-flight questions, and trace history vectors.
@@ -131,9 +131,6 @@ Status DecodeRng(Reader* r, Rng* out);
 void EncodeVec(const Vec& v, Writer* w);
 Status DecodeVec(Reader* r, Vec* out);
 
-void EncodeMatrix(const Matrix& m, Writer* w);
-Status DecodeMatrix(Reader* r, Matrix* out);
-
 void EncodeHalfspace(const Halfspace& h, Writer* w);
 Status DecodeHalfspace(Reader* r, Halfspace* out);
 
@@ -166,13 +163,12 @@ void EncodeIndexVector(const std::vector<size_t>& v, Writer* w);
 Status DecodeIndexVector(Reader* r, std::vector<size_t>* out, uint64_t bound);
 
 /// Trace history (the Figures 7/8 vectors). The trace object itself lives
-/// with the driver, so the codec restores *into* an existing trace — or into
-/// bare vectors (DecodeTrace) when the restoring driver attached none.
+/// with the driver, so the codec restores into bare vectors that the
+/// restoring driver hands to its trace, if it attached one.
 void EncodeTrace(const InteractionTrace& trace, Writer* w);
 Status DecodeTrace(Reader* r, std::vector<double>* max_regret,
                    std::vector<double>* cumulative_seconds,
                    std::vector<size_t>* best_index);
-Status DecodeTraceInto(Reader* r, InteractionTrace* trace);
 
 // ---- Session core. --------------------------------------------------------
 

@@ -4,13 +4,6 @@
 
 namespace isrl {
 
-bool InTerminalPolyhedron(const Dataset& data, size_t winner_index,
-                          const Vec& u, double epsilon) {
-  // u ∈ T_w ⇔ ∀j: u·(p_w − (1−ε)p_j) ≥ 0 ⇔ u·p_w ≥ (1−ε)·max_j u·p_j.
-  double winner_utility = Dot(u, data.point(winner_index));
-  return winner_utility >= (1.0 - epsilon) * data.TopUtility(u);
-}
-
 std::vector<size_t> TerminalWinners(const Dataset& data,
                                     const std::vector<Vec>& utilities,
                                     double epsilon) {

@@ -34,10 +34,6 @@ bool IsTerminalRange(const Dataset& data,
                      const std::vector<Vec>& extreme_vectors, double epsilon,
                      size_t* winner);
 
-/// Membership test u ∈ T_w (the linearised Lemma 4 condition).
-bool InTerminalPolyhedron(const Dataset& data, size_t winner_index,
-                          const Vec& u, double epsilon);
-
 }  // namespace isrl
 
 #endif  // ISRL_CORE_TERMINAL_H_

@@ -52,26 +52,4 @@ Result<Dataset> ReadCsv(const std::string& path, bool has_header, char sep) {
   return out;
 }
 
-Status WriteCsv(const Dataset& data, const std::string& path, char sep) {
-  std::ofstream out(path);
-  if (!out) return Status::IoError("cannot open for write: " + path);
-  if (!data.attribute_names().empty()) {
-    for (size_t c = 0; c < data.dim(); ++c) {
-      if (c > 0) out << sep;
-      out << data.attribute_names()[c];
-    }
-    out << "\n";
-  }
-  for (size_t i = 0; i < data.size(); ++i) {
-    const Vec& p = data.point(i);
-    for (size_t c = 0; c < data.dim(); ++c) {
-      if (c > 0) out << sep;
-      out << Format("%.17g", p[c]);
-    }
-    out << "\n";
-  }
-  if (!out) return Status::IoError("write failed: " + path);
-  return Status::Ok();
-}
-
 }  // namespace isrl

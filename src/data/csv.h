@@ -16,9 +16,6 @@ namespace isrl {
 Result<Dataset> ReadCsv(const std::string& path, bool has_header = true,
                         char sep = ',');
 
-/// Writes the dataset (with a header line when attribute names are set).
-Status WriteCsv(const Dataset& data, const std::string& path, char sep = ',');
-
 }  // namespace isrl
 
 #endif  // ISRL_DATA_CSV_H_

@@ -2,24 +2,11 @@
 
 #include <cmath>
 
-#include "common/strings.h"
-
 namespace isrl {
-
-std::string Halfspace::ToString() const {
-  return Format("{%s . u >= %.6g}", normal.ToString().c_str(), offset);
-}
 
 Halfspace PreferenceHalfspace(const Vec& preferred, const Vec& other) {
   ISRL_CHECK_EQ(preferred.dim(), other.dim());
   return Halfspace{preferred - other, 0.0};
-}
-
-Halfspace EpsilonHalfspace(const Vec& winner, const Vec& other,
-                           double epsilon) {
-  ISRL_CHECK_EQ(winner.dim(), other.dim());
-  ISRL_CHECK_GE(epsilon, 0.0);
-  return Halfspace{winner - other * (1.0 - epsilon), 0.0};
 }
 
 double DistanceToHyperplane(const Vec& c, const Halfspace& h) {

@@ -8,8 +8,6 @@
 #ifndef ISRL_GEOMETRY_HALFSPACE_H_
 #define ISRL_GEOMETRY_HALFSPACE_H_
 
-#include <string>
-
 #include "common/vec.h"
 
 namespace isrl {
@@ -36,16 +34,10 @@ struct Halfspace {
   [[nodiscard]] Halfspace Flipped() const {
     return Halfspace{normal * -1.0, -offset};
   }
-
-  std::string ToString() const;
 };
 
 /// Half-space h⁺_{i,j} learned when the user prefers p_i to p_j (Lemma 1).
 Halfspace PreferenceHalfspace(const Vec& preferred, const Vec& other);
-
-/// ε-relaxed half-space εh⁺_{i,j} = { r : r · (p_i − (1−ε) p_j) ≥ 0 } used to
-/// build terminal polyhedra (Lemma 4).
-Halfspace EpsilonHalfspace(const Vec& winner, const Vec& other, double epsilon);
 
 /// Euclidean distance from point `c` to the hyper-plane boundary of `h`
 /// (|normal·c − offset| / ‖normal‖). Used by AA's action ranking.

@@ -13,19 +13,6 @@ void Model::AddConstraint(const Vec& coeffs, Relation relation, double rhs) {
   constraints_.push_back(Constraint{coeffs, relation, rhs});
 }
 
-void Model::SetConstraintCoefficient(size_t row, size_t var, double value) {
-  ISRL_CHECK_LT(row, constraints_.size());
-  ISRL_CHECK_LT(var, objective_.size());
-  Vec& coeffs = constraints_[row].coeffs;
-  while (coeffs.dim() <= var) coeffs.PushBack(0.0);
-  coeffs[var] = value;
-}
-
-void Model::SetConstraintRhs(size_t row, double value) {
-  ISRL_CHECK_LT(row, constraints_.size());
-  constraints_[row].rhs = value;
-}
-
 bool SameConstraintStructure(const Model& a, const Model& b) {
   if (a.num_variables() != b.num_variables()) return false;
   if (a.nonneg() != b.nonneg()) return false;

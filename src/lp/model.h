@@ -38,16 +38,6 @@ class Model {
   /// Adds the constraint `coeffs · x (relation) rhs`.
   void AddConstraint(const Vec& coeffs, Relation relation, double rhs);
 
-  /// Overwrites one coefficient of an existing constraint, zero-extending a
-  /// short coefficient vector as needed. Together with SetConstraintRhs this
-  /// lets a caller build one model and solve a family of related LPs by
-  /// patching a few entries per query instead of rebuilding the whole model
-  /// (see geometry/convex_hull.cc).
-  void SetConstraintCoefficient(size_t row, size_t var, double value);
-
-  /// Overwrites the right-hand side of an existing constraint.
-  void SetConstraintRhs(size_t row, double value);
-
   /// Sets the optimisation direction (default: maximise).
   void SetSense(Sense sense) { sense_ = sense; }
 

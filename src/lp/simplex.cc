@@ -119,77 +119,6 @@ class Tableau {
     result->status = Status::Ok();
     result->objective = ObjectiveValue();
     result->x = ExtractSolution();
-    result->warm.basis = basis_;
-    result->warm.num_rows = num_rows_;
-    result->warm.num_cols = num_cols_;
-    result->warm.first_artificial = first_artificial_;
-  }
-
-  // Re-factorises a previous optimal basis against this tableau: one crash
-  // pivot per basic column, each claiming the unclaimed row with the largest
-  // magnitude in that column. Returns false when the warm basis is unusable
-  // — stale shape fingerprint, corrupt content (artificials, duplicates,
-  // out-of-range), a numerically lost pivot, or a primal-infeasible basic
-  // solution. On false the tableau may be partially pivoted and must be
-  // discarded; the caller falls back to a cold solve. On true phase 1 can be
-  // skipped: the installed basis is feasible and artificial-free, which is
-  // its own certificate.
-  bool InstallWarmBasis(const WarmStart& warm) {
-    if (warm.num_rows != num_rows_ || warm.num_cols != num_cols_ ||
-        warm.first_artificial != first_artificial_ ||
-        warm.basis.size() != num_rows_) {
-      return false;
-    }
-    std::vector<char> seen(num_cols_, 0);
-    for (size_t col : warm.basis) {
-      if (col >= first_artificial_) return false;  // artificials never reused
-      if (seen[col] != 0) return false;
-      seen[col] = 1;
-    }
-    std::vector<char> claimed(num_rows_, 0);
-    for (size_t col : warm.basis) {
-      if (is_basic_[col] != 0) {
-        // Already basic (a slack from the initial basis): claim its row.
-        for (size_t r = 0; r < num_rows_; ++r) {
-          if (basis_[r] == col) {
-            if (claimed[r] != 0) return false;
-            claimed[r] = 1;
-            break;
-          }
-        }
-        continue;
-      }
-      size_t best_row = kNoCol;
-      double best_abs = options_.pivot_tol;
-      for (size_t r = 0; r < num_rows_; ++r) {
-        if (claimed[r] != 0) continue;
-        double a = std::abs(Row(r)[col]);
-        if (a > best_abs) {
-          best_abs = a;
-          best_row = r;
-        }
-      }
-      if (best_row == kNoCol) return false;  // singular under this basis
-      Pivot(best_row, col);
-      claimed[best_row] = 1;
-    }
-    // warm.basis covers every row (distinct, num_rows_ of them), so every
-    // row is claimed and no artificial remains basic. The basic solution
-    // must be primal feasible for the phase-1 skip to be sound.
-    for (size_t r = 0; r < num_rows_; ++r) {
-      if (rhs_[r] < -options_.feasibility_tol) return false;
-      if (rhs_[r] < 0.0) rhs_[r] = 0.0;  // round-off within tolerance
-    }
-    return true;
-  }
-
-  // Phase 2 from an installed warm basis (InstallWarmBasis must have
-  // returned true).
-  SolveResult RunWarm() {
-    SolveResult result;
-    result.diagnostics.attempts = 1;
-    RunPhase2(&result);
-    return result;
   }
 
   size_t num_artificial() const { return num_artificial_; }
@@ -609,47 +538,6 @@ SolveResult SolveWithRecovery(const Model& model, const SimplexOptions& options,
   }
   result.diagnostics = aggregate;
   return result;
-}
-
-SolveResult SolveWithWarmStart(const Model& model, const WarmStart& warm,
-                               const SimplexOptions& options,
-                               const RetryOptions& retry) {
-  if (warm.empty() || model.num_variables() == 0) {
-    return SolveWithRecovery(model, options, retry);
-  }
-  if (audit::ShouldCheck(audit::Checker::kLpTableau)) {
-    // A stale-but-well-formed basis is a legitimate miss (we degrade to a
-    // cold solve); an internally inconsistent one means the caller's cached
-    // state was corrupted in flight — that is worth a report.
-    audit::Auditor().Record(
-        audit::Checker::kLpTableau, "simplex.WarmStart",
-        audit::CheckWarmStartBasis(warm.basis, warm.num_rows, warm.num_cols,
-                                   warm.first_artificial));
-  }
-  bool injected = false;
-  if (g_fault_hook) {
-    const size_t attempt = ++g_attempt_counter;
-    injected = !g_fault_hook(model, attempt).ok();
-  }
-  if (!injected) {
-    Tableau tableau(model, options);
-    tableau.SetModelMapping(model);
-    if (tableau.InstallWarmBasis(warm)) {
-      SolveResult result = tableau.RunWarm();
-      if (result.ok()) {
-        result.diagnostics.warm_started = true;
-        return result;
-      }
-      // A phase-2 failure from a warm basis (iteration cap, spurious
-      // unboundedness from escalated round-off) is not trusted: re-derive
-      // everything through the cold ladder below.
-    }
-  }
-  SolveResult cold = SolveWithRecovery(model, options, retry);
-  cold.diagnostics.warm_rejected = true;
-  cold.diagnostics.injected_fault =
-      cold.diagnostics.injected_fault || injected;
-  return cold;
 }
 
 // Per-rung cache for FamilySolver: the member-independent phase-1 outcome of

@@ -39,22 +39,6 @@ struct SolveDiagnostics {
   bool escalated = false;   ///< a retry ran with escalated tolerances
   bool perturbed = false;   ///< a retry ran on a perturbed model
   bool injected_fault = false;  ///< a test hook forced at least one failure
-  bool warm_started = false;    ///< solved from an installed warm basis
-  bool warm_rejected = false;   ///< a warm basis was offered but unusable
-};
-
-/// An optimal basis exported by a successful solve, reusable as the starting
-/// point of the next solve over a same-shaped tableau (same constraint count,
-/// same column layout). SolveWithWarmStart() validates the fingerprint and the
-/// basis content before trusting it; anything stale or corrupt degrades to a
-/// cold solve, never to a wrong answer (see DESIGN.md §17).
-struct WarmStart {
-  std::vector<size_t> basis;  ///< basic column per tableau row, in row order
-  size_t num_rows = 0;        ///< tableau shape fingerprint: row count,
-  size_t num_cols = 0;        ///< column count (after the x = x⁺ − x⁻ split),
-  size_t first_artificial = 0;  ///< and where the artificial columns begin.
-
-  [[nodiscard]] bool empty() const { return basis.empty(); }
 };
 
 /// Outcome of Solve(). On kOk, `objective` and `x` hold the optimum; on
@@ -65,7 +49,6 @@ struct [[nodiscard]] SolveResult {
   double objective = 0.0;
   Vec x;  ///< Values of the model's variables (original indexing).
   SolveDiagnostics diagnostics;
-  WarmStart warm;  ///< On kOk: the optimal basis, for chaining solves.
 
   [[nodiscard]] bool ok() const { return status.ok(); }
 };
@@ -91,21 +74,6 @@ struct RetryOptions {
 [[nodiscard]] SolveResult SolveWithRecovery(const Model& model,
                                             const SimplexOptions& options = {},
                                             const RetryOptions& retry = {});
-
-/// SolveWithRecovery() that first attempts to resume from `warm`, the optimal
-/// basis of a previous same-shaped solve. The warm attempt re-factorises the
-/// basis against the new tableau (a crash install: one pivot per basic
-/// column) and skips phase 1 entirely when the installed basis is primal
-/// feasible. Any mismatch — stale shape fingerprint, corrupt basis content,
-/// lost pivot, infeasible basic solution, or a phase-2 failure — falls back
-/// to the full cold retry ladder, so the result is exactly as trustworthy as
-/// SolveWithRecovery()'s: a feasible warm basis is its own certificate, and
-/// everything else is re-derived from scratch. Diagnostics report
-/// warm_started / warm_rejected accordingly.
-[[nodiscard]] SolveResult SolveWithWarmStart(const Model& model,
-                                             const WarmStart& warm,
-                                             const SimplexOptions& options = {},
-                                             const RetryOptions& retry = {});
 
 /// Shared-phase-1 solver for a *family* of LPs that differ only in objective
 /// (sense, costs) over bitwise-identical constraints and variable domains —

@@ -174,14 +174,4 @@ Network Network::Clone() const {
   return copy;
 }
 
-size_t Network::NumParameters() const {
-  size_t total = 0;
-  for (const auto& layer : layers_) {
-    for (ParamBlock b : const_cast<Layer&>(*layer).Params()) {
-      total += b.values->size();
-    }
-  }
-  return total;
-}
-
 }  // namespace isrl::nn

@@ -92,9 +92,6 @@ class Network {
   Layer& layer(size_t i) { return *layers_[i]; }
   const Layer& layer(size_t i) const { return *layers_[i]; }
 
-  /// Total scalar parameter count.
-  size_t NumParameters() const;
-
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
 };

@@ -6,12 +6,6 @@
 
 namespace isrl::nn {
 
-void Optimizer::ZeroGrads() {
-  for (ParamBlock& b : params_) {
-    for (double& g : *b.grads) g = 0.0;
-  }
-}
-
 void Sgd::Step(size_t batch_size) {
   ISRL_CHECK_GE(batch_size, 1u);
   const double scale = learning_rate_ / static_cast<double>(batch_size);

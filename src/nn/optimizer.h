@@ -22,9 +22,6 @@ class Optimizer {
   /// and resets the gradient accumulators.
   virtual void Step(size_t batch_size) = 0;
 
-  /// Zeroes the gradient accumulators without updating (dropped batch).
-  void ZeroGrads();
-
  protected:
   std::vector<ParamBlock> params_;
 };

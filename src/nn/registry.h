@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -33,8 +32,8 @@ namespace isrl::nn {
 /// plus the version and §14 fingerprint they were published under. The
 /// weights never change after construction; Score() is const but NOT
 /// thread-safe (PredictBatch reuses per-layer scratch) — replicate per
-/// thread (Replicate(), ModelReplicaCache) instead of sharing one snapshot
-/// across concurrent scorers.
+/// thread (Replicate()) instead of sharing one snapshot across concurrent
+/// scorers.
 class ModelSnapshot {
  public:
   /// Copies `weights` and fingerprints the copy. Version 0 is reserved for
@@ -95,46 +94,15 @@ class ModelRegistry : public ModelProvider {
 
   /// The most recently published snapshot (nullptr before any Publish).
   std::shared_ptr<const ModelSnapshot> Latest() const;
-  /// Version of Latest() (0 before any Publish).
-  uint64_t latest_version() const;
 
   /// The snapshot published as `version`, or nullptr when unknown.
   std::shared_ptr<const ModelSnapshot> Pin(uint64_t version) override;
-
-  /// Published versions so far.
-  size_t size() const;
-
-  /// Persists every published version ("model-registry" frame, atomic
-  /// write) so a restarted process can re-pin recovered sessions.
-  Status SaveFile(const std::string& path) const;
-
-  /// Re-publishes the versions saved by SaveFile into this registry (which
-  /// must be empty). Each snapshot's fingerprint is recomputed from the
-  /// loaded weights and checked against the saved value.
-  Status LoadFile(const std::string& path);
 
  private:
   mutable Mutex mu_;
   std::vector<std::shared_ptr<const ModelSnapshot>> versions_
       ISRL_GUARDED_BY(mu_);
   std::shared_ptr<const ModelSnapshot> latest_ ISRL_GUARDED_BY(mu_);
-};
-
-/// Single-threaded per-shard cache of snapshot replicas over a shared
-/// provider: the first Pin of a version replicates it (fresh scratch), later
-/// Pins reuse the replica. One cache per shard worker keeps PredictBatch
-/// scratch unshared across threads while the underlying registry stays
-/// shared and hot-swappable. NOT thread-safe — one cache per thread.
-class ModelReplicaCache : public ModelProvider {
- public:
-  /// `source` must outlive the cache.
-  explicit ModelReplicaCache(ModelProvider* source) : source_(source) {}
-
-  std::shared_ptr<const ModelSnapshot> Pin(uint64_t version) override;
-
- private:
-  ModelProvider* source_;
-  std::unordered_map<uint64_t, std::shared_ptr<const ModelSnapshot>> replicas_;
 };
 
 }  // namespace isrl::nn

@@ -55,16 +55,6 @@ Vec DqnAgent::QValues(const std::vector<Vec>& candidate_features) {
   return main_.PredictBatch(candidate_features);
 }
 
-Vec DqnAgent::ScoreCandidates(const Matrix& candidate_features) {
-  ISRL_CHECK_GE(candidate_features.rows(), 1u);
-  ISRL_CHECK_EQ(candidate_features.cols(), input_dim_);
-  return main_.PredictBatch(candidate_features);
-}
-
-size_t DqnAgent::SelectGreedy(const Matrix& candidate_features) {
-  return ScoreCandidates(candidate_features).ArgMax();
-}
-
 size_t DqnAgent::SelectEpsilonGreedy(
     const std::vector<Vec>& candidate_features, double epsilon, Rng& rng) {
   ISRL_CHECK(!candidate_features.empty());

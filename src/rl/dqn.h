@@ -84,17 +84,6 @@ class DqnAgent {
     return QValues(candidate_features).ArgMax();
   }
 
-  /// Q-values of row-stacked candidate features (one candidate per row) in
-  /// one batched inference pass. This is the scoring primitive behind both
-  /// SelectGreedy(Matrix) and the cross-session coalesced scoring of the
-  /// SessionScheduler — bit-identical per row at any batch size.
-  Vec ScoreCandidates(const Matrix& candidate_features);
-
-  /// SelectGreedy over row-stacked candidate features (one candidate per
-  /// row) — the zero-copy entry point for EA/AA action scoring: one batched
-  /// forward per round instead of |actions| scalar dispatches.
-  size_t SelectGreedy(const Matrix& candidate_features);
-
   /// ε-greedy: uniform-random candidate with probability `epsilon`, greedy
   /// otherwise.
   size_t SelectEpsilonGreedy(const std::vector<Vec>& candidate_features,

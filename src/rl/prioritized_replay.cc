@@ -110,9 +110,4 @@ double PrioritizedReplayMemory::priority(size_t index) const {
   return sum_tree_[leaf_base_ + index];
 }
 
-uint64_t PrioritizedReplayMemory::generation(size_t index) const {
-  ISRL_CHECK_LT(index, size_);
-  return generations_[index];
-}
-
 }  // namespace isrl::rl

@@ -63,9 +63,6 @@ class PrioritizedReplayMemory {
   size_t capacity() const { return capacity_; }
   bool empty() const { return size_ == 0; }
   double priority(size_t index) const;
-  /// Current generation stamp of `index` (changes whenever Add overwrites
-  /// the slot); handles with an older stamp are stale.
-  uint64_t generation(size_t index) const;
   /// Sum of all stored priorities (maintained, O(1)).
   double total_priority() const { return sum_tree_[1]; }
   /// Minimum stored priority (maintained, O(1)); meaningless when empty.

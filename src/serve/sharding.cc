@@ -40,11 +40,6 @@ ShardedScheduler::ShardedScheduler(ShardedOptions options) : options_(options) {
 ShardedScheduler::~ShardedScheduler() { Stop(); }
 
 ShardedScheduler::SessionId ShardedScheduler::Add(
-    std::unique_ptr<InteractionSession> session) {
-  return Add(std::move(session), nullptr);
-}
-
-ShardedScheduler::SessionId ShardedScheduler::Add(
     std::unique_ptr<InteractionSession> session,
     InteractiveAlgorithm* algorithm) {
   ISRL_CHECK(!running_.load(std::memory_order_acquire));
@@ -54,9 +49,7 @@ ShardedScheduler::SessionId ShardedScheduler::Add(
   // scheduler lives under exec_mu, the mirror under mu (uncontended here).
   MutexLock exec(shard.exec_mu);
   MutexLock lock(shard.mu);
-  const size_t local = algorithm == nullptr
-                           ? shard.scheduler.Add(std::move(session))
-                           : shard.scheduler.Add(std::move(session), algorithm);
+  const size_t local = shard.scheduler.Add(std::move(session), algorithm);
   ISRL_CHECK_EQ(local, LocalOf(id));
   // A session can finish inside StartSession; no tick will report it.
   const bool finished = shard.scheduler.finished(local);

@@ -63,8 +63,7 @@ struct ShardedOptions {
   /// id % shards.
   size_t shards = 1;
   /// When durability is enabled: per-shard population re-snapshot cadence
-  /// in ticks (0 = snapshot only at EnableDurability time). Matches
-  /// DriveWithUsersDurable's checkpoint_every_ticks semantics.
+  /// in ticks (0 = snapshot only at EnableDurability time).
   size_t checkpoint_every_ticks = 0;
 };
 
@@ -77,9 +76,10 @@ using ShardAlgorithmResolver =
 
 /// Per-shard model provider for Recover: maps a shard to the ModelProvider
 /// its sessions re-pin registry versions through (SessionConfig::models).
-/// Hand each shard its own ModelReplicaCache over the shared registry so
-/// snapshot inference scratch stays unshared across worker threads
-/// (DESIGN.md §18); nullptr (or a null result) restores without a provider.
+/// Hand each shard its own provider that Replicate()s what the shared
+/// registry pins, so snapshot inference scratch stays unshared across
+/// worker threads (DESIGN.md §18); nullptr (or a null result) restores
+/// without a provider.
 using ShardModelProvider = std::function<nn::ModelProvider*(size_t shard)>;
 
 /// N SessionScheduler shards pinned to worker threads behind a thread-safe
@@ -111,10 +111,9 @@ class ShardedScheduler {
   ShardedScheduler(const ShardedScheduler&) = delete;
   ShardedScheduler& operator=(const ShardedScheduler&) = delete;
 
-  /// Adopts a session (routed to shard id % shards). Sessions MUST be
-  /// seeded; the overload with `algorithm` is required for durable
-  /// populations (mirrors SessionScheduler::Add).
-  SessionId Add(std::unique_ptr<InteractionSession> session);
+  /// Adopts a session started by `algorithm` (routed to shard id % shards).
+  /// Sessions MUST be seeded; `algorithm` reopens them on recovery (mirrors
+  /// SessionScheduler::Add).
   SessionId Add(std::unique_ptr<InteractionSession> session,
                 InteractiveAlgorithm* algorithm);
 

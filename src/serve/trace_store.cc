@@ -12,27 +12,19 @@ TraceStore::TraceStore(size_t capacity) : capacity_(capacity) {
 
 void TraceStore::Harvest(size_t /*session_id*/,
                          const SessionTraceRecord& record) {
-  {
-    MutexLock lock(mu_);
-    if (ring_.size() < capacity_) {
-      ring_.push_back(record);
-    } else {
-      ring_[next_] = record;
-    }
-    next_ = (next_ + 1) % capacity_;
-    ++total_;
+  MutexLock lock(mu_);
+  if (ring_.size() < capacity_) {
+    ring_.push_back(record);
+  } else {
+    ring_[next_] = record;
   }
-  cv_.NotifyAll();
+  next_ = (next_ + 1) % capacity_;
+  ++total_;
 }
 
 size_t TraceStore::harvested() const {
   MutexLock lock(mu_);
   return total_;
-}
-
-size_t TraceStore::size() const {
-  MutexLock lock(mu_);
-  return ring_.size();
 }
 
 std::vector<SessionTraceRecord> TraceStore::Window() const {
@@ -70,41 +62,6 @@ OutcomeCounts TraceStore::WindowOutcomes() const {
     counts.Count(record.termination);
   }
   return counts;
-}
-
-Summary TraceStore::WindowRounds() const {
-  std::vector<double> rounds;
-  {
-    MutexLock lock(mu_);
-    rounds.reserve(ring_.size());
-    for (const SessionTraceRecord& record : ring_) {
-      rounds.push_back(static_cast<double>(record.rounds));
-    }
-  }
-  return Summarize(rounds);
-}
-
-bool TraceStore::WaitForTotal(size_t target) const {
-  MutexLock lock(mu_);
-  while (total_ < target && !interrupted_) {
-    cv_.Wait(mu_);
-  }
-  // The interrupt wins even over a satisfied target (sticky): a trainer
-  // stopping between waits must not slip in one more retrain.
-  return !interrupted_ && total_ >= target;
-}
-
-void TraceStore::Interrupt() {
-  {
-    MutexLock lock(mu_);
-    interrupted_ = true;
-  }
-  cv_.NotifyAll();
-}
-
-void TraceStore::ClearInterrupt() {
-  MutexLock lock(mu_);
-  interrupted_ = false;
 }
 
 }  // namespace isrl

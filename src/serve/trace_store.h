@@ -2,12 +2,11 @@
 //
 // A TraceStore is the thread-safe drop point between serving and training:
 // shard workers push one SessionTraceRecord per finished session (wired as
-// the scheduler's HarvestSink), and the background trainer blocks on
-// WaitForTotal until enough fresh traces justify a retrain. The store keeps
-// a bounded ring of the most recent records — the "live population" that
-// drift detection (serve/drift.h) compares against the training baseline,
-// and the source of the learned-utility replay samples that trace-driven
-// retraining trains on.
+// the scheduler's HarvestSink), and the trainer reads the utility estimates
+// they carry. The store keeps a bounded ring of the most recent records —
+// the "live population" that drift detection (serve/drift.h) compares
+// against the training baseline, and the source of the learned-utility
+// replay samples that trace-driven retraining trains on.
 #ifndef ISRL_SERVE_TRACE_STORE_H_
 #define ISRL_SERVE_TRACE_STORE_H_
 
@@ -22,7 +21,7 @@
 namespace isrl {
 
 /// Bounded, thread-safe ring of the most recent session trace records.
-/// Safe to call from any number of shard workers and one trainer thread
+/// Safe to call from any number of shard workers and a trainer
 /// concurrently; every method takes the internal mutex.
 class TraceStore {
  public:
@@ -38,9 +37,6 @@ class TraceStore {
   /// Records ever harvested (monotone; not capped by the window).
   size_t harvested() const;
 
-  /// Records currently retained (<= capacity).
-  size_t size() const;
-
   /// The retained window in harvest order (oldest first).
   std::vector<SessionTraceRecord> Window() const;
 
@@ -52,28 +48,12 @@ class TraceStore {
   /// Terminal-outcome tallies over the retained window.
   OutcomeCounts WindowOutcomes() const;
 
-  /// Round-count summary over the retained window.
-  Summary WindowRounds() const;
-
-  /// Blocks until harvested() >= target (true) or Interrupt() fires
-  /// (false). The trainer's pacing primitive.
-  bool WaitForTotal(size_t target) const;
-
-  /// Wakes every WaitForTotal and makes current and future waits return
-  /// false until ClearInterrupt() — sticky, so a trainer that is between
-  /// waits still stops. Called by ContinuousTrainer::Stop.
-  void Interrupt();
-  /// Re-arms waiting after an Interrupt (ContinuousTrainer::Start).
-  void ClearInterrupt();
-
  private:
   const size_t capacity_;
   mutable Mutex mu_;
-  mutable CondVar cv_;  ///< signalled on Harvest and Interrupt
   std::vector<SessionTraceRecord> ring_ ISRL_GUARDED_BY(mu_);
   size_t next_ ISRL_GUARDED_BY(mu_) = 0;   ///< ring write cursor
   size_t total_ ISRL_GUARDED_BY(mu_) = 0;  ///< records ever harvested
-  bool interrupted_ ISRL_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace isrl

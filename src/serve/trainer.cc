@@ -16,21 +16,12 @@ ContinuousTrainer::ContinuousTrainer(TraceStore& traces,
       options_(options) {
   ISRL_CHECK(hooks_.train != nullptr);
   ISRL_CHECK(hooks_.network != nullptr);
-  ISRL_CHECK_GT(options_.min_new_traces, 0u);
   ISRL_CHECK_GT(options_.max_utilities, 0u);
 }
 
-ContinuousTrainer::~ContinuousTrainer() { Stop(); }
-
 Result<RetrainOutcome> ContinuousTrainer::RetrainOnce() {
-  // Read the watermark BEFORE collecting samples: records harvested during
-  // the (long) train call stay un-consumed and count towards the next
-  // retrain's pacing.
-  const size_t watermark = traces_.harvested();
   std::vector<Vec> utilities = traces_.TrainingUtilities(options_.max_utilities);
   if (utilities.empty()) {
-    MutexLock lock(mu_);
-    consumed_ = watermark;
     return Status::FailedPrecondition(
         "no harvested utility estimates to retrain on");
   }
@@ -38,44 +29,7 @@ Result<RetrainOutcome> ContinuousTrainer::RetrainOnce() {
   outcome.samples = utilities.size();
   outcome.stats = hooks_.train(utilities);
   outcome.version = registry_.Publish(hooks_.network());
-  MutexLock lock(mu_);
-  consumed_ = watermark;
-  ++retrains_;
   return outcome;
-}
-
-void ContinuousTrainer::Start() {
-  ISRL_CHECK(!worker_.joinable());
-  traces_.ClearInterrupt();
-  stop_.store(false, std::memory_order_release);
-  worker_ = std::thread(&ContinuousTrainer::Loop, this);
-}
-
-void ContinuousTrainer::Stop() {
-  if (!worker_.joinable()) return;
-  stop_.store(true, std::memory_order_release);
-  traces_.Interrupt();
-  worker_.join();
-}
-
-size_t ContinuousTrainer::retrains() const {
-  MutexLock lock(mu_);
-  return retrains_;
-}
-
-void ContinuousTrainer::Loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    size_t target;
-    {
-      MutexLock lock(mu_);
-      target = consumed_ + options_.min_new_traces;
-    }
-    if (!traces_.WaitForTotal(target)) return;  // interrupted: Stop() ran
-    if (stop_.load(std::memory_order_acquire)) return;
-    // A failed attempt (no utilities in the window) already advanced
-    // consumed_, so the next wait needs genuinely fresh traces either way.
-    (void)RetrainOnce();
-  }
 }
 
 }  // namespace isrl

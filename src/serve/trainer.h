@@ -1,26 +1,20 @@
-// Background trace-driven retraining (DESIGN.md §18): the train side of
-// the train→serve loop.
+// Trace-driven retraining (DESIGN.md §18): the train side of the
+// train→serve loop.
 //
-// A ContinuousTrainer owns the only thread allowed to touch the training
-// algorithm while serving runs. It paces itself on the TraceStore —
-// blocking until `min_new_traces` fresh sessions have been harvested since
-// the last retrain — then trains on the harvested utility estimates and
-// Publish()es the new weights into the shared ModelRegistry. The publish is
-// the ONLY cross-thread handoff: serving threads score exclusively through
-// pinned registry snapshots, so they never observe weights mid-update, and
-// in-flight sessions (pinned at StartSession) are untouched by the swap.
+// A ContinuousTrainer trains on the utility estimates harvested into a
+// TraceStore and Publish()es the new weights into the shared ModelRegistry.
+// The publish is the ONLY handoff to serving: serving threads score
+// exclusively through pinned registry snapshots, so they never observe
+// weights mid-update, and in-flight sessions (pinned at StartSession) are
+// untouched by the swap.
 #ifndef ISRL_SERVE_TRAINER_H_
 #define ISRL_SERVE_TRAINER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
-#include <thread>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "common/vec.h"
 #include "core/ea.h"
 #include "nn/registry.h"
@@ -29,9 +23,9 @@
 namespace isrl {
 
 /// The two capabilities a trainer borrows from its training algorithm.
-/// Both run on the trainer thread; while a trainer is Start()ed, no other
-/// thread may train, mutate, or serve directly from that algorithm's
-/// network — serving holds registry snapshots instead (DESIGN.md §18).
+/// Both run on the thread that calls RetrainOnce; serving never touches
+/// that algorithm's network directly — it holds registry snapshots instead
+/// (DESIGN.md §18).
 struct RetrainHooks {
   /// One incremental training pass over the harvested utility estimates
   /// (e.g. [&ea](const std::vector<Vec>& u) { return ea.Train(u); }).
@@ -42,8 +36,6 @@ struct RetrainHooks {
 };
 
 struct TrainerOptions {
-  /// Fresh harvested traces required between retrains (Loop pacing).
-  size_t min_new_traces = 64;
   /// Cap on utility samples per retrain (the newest ones win).
   size_t max_utilities = 256;
 };
@@ -55,55 +47,23 @@ struct RetrainOutcome {
   size_t samples = 0;  ///< utility estimates trained on
 };
 
-/// Retrains on harvested traces and hot-swaps the result into a registry,
-/// either synchronously (RetrainOnce — deterministic, for tests and staged
-/// drives) or on a background thread (Start/Stop).
+/// Retrains on harvested traces and hot-swaps the result into a registry.
 class ContinuousTrainer {
  public:
   /// All three referents must outlive the trainer.
   ContinuousTrainer(TraceStore& traces, nn::ModelRegistry& registry,
                     RetrainHooks hooks, TrainerOptions options = {});
-  ~ContinuousTrainer();
-  ContinuousTrainer(const ContinuousTrainer&) = delete;
-  ContinuousTrainer& operator=(const ContinuousTrainer&) = delete;
 
   /// One synchronous retrain: trains on the newest harvested utilities
-  /// (<= max_utilities), publishes the result, and marks the store's
-  /// current total as consumed. FailedPrecondition when no harvested
-  /// record carries a utility estimate (nothing to train on).
+  /// (<= max_utilities) and publishes the result. FailedPrecondition when
+  /// no harvested record carries a utility estimate (nothing to train on).
   Result<RetrainOutcome> RetrainOnce();
 
-  /// Spawns the trainer thread: wait for min_new_traces fresh harvests,
-  /// RetrainOnce, repeat. The caller must not touch the hooks' algorithm
-  /// until Stop().
-  void Start();
-
-  /// Interrupts the wait, joins the thread. Idempotent; also run by the
-  /// destructor.
-  void Stop();
-
-  /// Successful retrains so far.
-  size_t retrains() const;
-
  private:
-  void Loop();
-
   TraceStore& traces_;
   nn::ModelRegistry& registry_;
   RetrainHooks hooks_;
   TrainerOptions options_;
-
-  mutable Mutex mu_;
-  /// harvested() watermark at the last retrain attempt; Loop waits for
-  /// consumed_ + min_new_traces. Advanced even on a failed attempt so an
-  /// empty-utility window cannot busy-spin the thread.
-  size_t consumed_ ISRL_GUARDED_BY(mu_) = 0;
-  size_t retrains_ ISRL_GUARDED_BY(mu_) = 0;
-
-  std::atomic<bool> stop_{false};
-  /// Spawned by Start(), joined by Stop(); touched only by the lifecycle
-  /// calls (main thread).
-  std::thread worker_;
 };
 
 }  // namespace isrl

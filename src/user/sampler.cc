@@ -1,43 +1,11 @@
 #include "user/sampler.h"
 
-#include <cmath>
-
-#include "common/check.h"
-
 namespace isrl {
 
 std::vector<Vec> SampleUtilityVectors(size_t count, size_t dim, Rng& rng) {
   std::vector<Vec> out;
   out.reserve(count);
   for (size_t i = 0; i < count; ++i) out.push_back(rng.SimplexUniform(dim));
-  return out;
-}
-
-std::vector<Vec> SampleSkewedUtilityVectors(size_t count, size_t dim,
-                                            size_t heavy_coordinate,
-                                            double heaviness, Rng& rng) {
-  ISRL_CHECK_LT(heavy_coordinate, dim);
-  ISRL_CHECK_GE(heaviness, 1.0);
-  std::vector<Vec> out;
-  out.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    // Gamma(α,1) draws normalised to sum 1 are Dirichlet(α); a heavy α on
-    // one coordinate concentrates mass there.
-    Vec u(dim);
-    double sum = 0.0;
-    for (size_t c = 0; c < dim; ++c) {
-      double alpha = (c == heavy_coordinate) ? heaviness : 1.0;
-      // Sum of `alpha` Exp(1) draws is Gamma(alpha,1) for integral alpha;
-      // use the nearest integer for simplicity.
-      int k = std::max(1, static_cast<int>(std::lround(alpha)));
-      double g = 0.0;
-      for (int j = 0; j < k; ++j) g += -std::log(1.0 - rng.Uniform(0.0, 1.0));
-      u[c] = g;
-      sum += g;
-    }
-    u /= sum;
-    out.push_back(std::move(u));
-  }
   return out;
 }
 

@@ -13,13 +13,6 @@ namespace isrl {
 /// paper trains on 10,000 of these).
 std::vector<Vec> SampleUtilityVectors(size_t count, size_t dim, Rng& rng);
 
-/// `count` utility vectors skewed towards a preferred attribute (Dirichlet
-/// with one heavy coordinate); used by robustness tests to check the agents
-/// generalise off the training distribution.
-std::vector<Vec> SampleSkewedUtilityVectors(size_t count, size_t dim,
-                                            size_t heavy_coordinate,
-                                            double heaviness, Rng& rng);
-
 }  // namespace isrl
 
 #endif  // ISRL_USER_SAMPLER_H_

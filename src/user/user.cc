@@ -20,17 +20,8 @@ bool LinearUser::Prefers(const Vec& a, const Vec& b) {
   return Dot(utility_, a) >= Dot(utility_, b);
 }
 
-NoisyUser::NoisyUser(Vec utility, double error_rate, Rng& rng)
-    : inner_(std::move(utility)), error_rate_(error_rate), rng_(&rng) {
-  ISRL_CHECK_GE(error_rate, 0.0);
-  ISRL_CHECK_LT(error_rate, 0.5);
-}
-
 NoisyUser::NoisyUser(Vec utility, double error_rate, uint64_t seed)
-    : inner_(std::move(utility)),
-      error_rate_(error_rate),
-      owned_rng_(seed),
-      rng_(&owned_rng_) {
+    : inner_(std::move(utility)), error_rate_(error_rate), rng_(seed) {
   ISRL_CHECK_GE(error_rate, 0.0);
   ISRL_CHECK_LT(error_rate, 0.5);
 }
@@ -38,18 +29,12 @@ NoisyUser::NoisyUser(Vec utility, double error_rate, uint64_t seed)
 bool NoisyUser::Prefers(const Vec& a, const Vec& b) {
   ++questions_asked_;
   bool truthful = Dot(inner_.utility(), a) >= Dot(inner_.utility(), b);
-  return rng_->Bernoulli(error_rate_) ? !truthful : truthful;
-}
-
-MajorityVoteUser::MajorityVoteUser(UserOracle* inner, size_t votes)
-    : inner_(inner), votes_(votes) {
-  ISRL_CHECK(inner != nullptr);
-  ISRL_CHECK_EQ(votes % 2, 1u);
+  return rng_.Bernoulli(error_rate_) ? !truthful : truthful;
 }
 
 MajorityVoteUser::MajorityVoteUser(std::unique_ptr<UserOracle> inner,
                                    size_t votes)
-    : owned_(std::move(inner)), inner_(owned_.get()), votes_(votes) {
+    : inner_(std::move(inner)), votes_(votes) {
   ISRL_CHECK(inner_ != nullptr);
   ISRL_CHECK_EQ(votes % 2, 1u);
 }

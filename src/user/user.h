@@ -67,13 +67,9 @@ class LinearUser : public UserOracle {
 /// (future-work extension; see DESIGN.md §7).
 class NoisyUser : public UserOracle {
  public:
-  /// Draws flips from the caller's shared generator. NOT safe under
-  /// parallel evaluation — prefer the seeded constructor there.
-  NoisyUser(Vec utility, double error_rate, Rng& rng);
-
   /// Owns its flip generator, seeded with `seed`: the fault stream is a
-  /// pure function of the seed, independent of any other oracle — the form
-  /// the deterministic parallel evaluation layer requires.
+  /// pure function of the seed, independent of any other oracle — what the
+  /// deterministic parallel evaluation layer requires.
   NoisyUser(Vec utility, double error_rate, uint64_t seed);
 
   bool Prefers(const Vec& a, const Vec& b) override;
@@ -84,8 +80,7 @@ class NoisyUser : public UserOracle {
  private:
   LinearUser inner_;
   double error_rate_;
-  Rng owned_rng_{0};
-  Rng* rng_;  ///< &owned_rng_ for the seeded form, the caller's otherwise
+  Rng rng_;
 };
 
 /// Decorator that re-asks each question `votes` times (odd) and returns the
@@ -93,17 +88,13 @@ class NoisyUser : public UserOracle {
 /// counts as a question for round-accounting purposes.
 class MajorityVoteUser : public UserOracle {
  public:
-  /// Non-owning: `inner` must outlive this wrapper.
-  MajorityVoteUser(UserOracle* inner, size_t votes);
-
-  /// Owning form — lets a UserFactory return a self-contained oracle.
+  /// Owns `inner`, so a UserFactory can return a self-contained oracle.
   MajorityVoteUser(std::unique_ptr<UserOracle> inner, size_t votes);
 
   bool Prefers(const Vec& a, const Vec& b) override;
 
  private:
-  std::unique_ptr<UserOracle> owned_;  ///< null for the non-owning form
-  UserOracle* inner_;
+  std::unique_ptr<UserOracle> inner_;
   size_t votes_;
 };
 

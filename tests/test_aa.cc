@@ -174,7 +174,8 @@ TEST(AaTest, NoisyUserDoesNotCrash) {
   Aa aa(sky, opt);
   Rng rng(16);
   for (int trial = 0; trial < 5; ++trial) {
-    NoisyUser user(rng.SimplexUniform(3), 0.25, rng);
+    NoisyUser user(rng.SimplexUniform(3), 0.25,
+                   static_cast<uint64_t>(160 + trial));
     InteractionResult r = aa.Interact(user);
     EXPECT_LT(r.best_index, sky.size());
   }

@@ -393,43 +393,6 @@ TEST_F(CheckAdjacencyTest, DanglingEdgeCaught) {
 }
 
 // ---------------------------------------------------------------------------
-// Checker: warm-start basis consistency.
-// ---------------------------------------------------------------------------
-
-TEST(CheckWarmStartBasisTest, WellFormedBasisPasses) {
-  // 3 rows over 8 columns, artificials from column 6.
-  EXPECT_TRUE(CheckWarmStartBasis({0, 4, 5}, 3, 8, 6).empty());
-}
-
-TEST(CheckWarmStartBasisTest, RowCountMismatchCaught) {
-  auto problems = CheckWarmStartBasis({0, 4}, 3, 8, 6);
-  ASSERT_FALSE(problems.empty());
-  EXPECT_NE(problems[0].find("rows"), std::string::npos);
-}
-
-TEST(CheckWarmStartBasisTest, OutOfRangeColumnCaught) {
-  EXPECT_FALSE(CheckWarmStartBasis({0, 4, 9}, 3, 8, 6).empty());
-}
-
-TEST(CheckWarmStartBasisTest, ArtificialColumnCaught) {
-  auto problems = CheckWarmStartBasis({0, 4, 6}, 3, 8, 6);
-  ASSERT_FALSE(problems.empty());
-  EXPECT_NE(problems[0].find("artificial"), std::string::npos);
-}
-
-TEST(CheckWarmStartBasisTest, DuplicateColumnCaught) {
-  auto problems = CheckWarmStartBasis({4, 0, 4}, 3, 8, 6);
-  ASSERT_FALSE(problems.empty());
-  EXPECT_NE(problems[0].find("repeated"), std::string::npos);
-}
-
-TEST(CheckWarmStartBasisTest, IncoherentFingerprintCaught) {
-  // first_artificial beyond num_cols is a corrupt fingerprint even when the
-  // basis entries themselves look fine.
-  EXPECT_FALSE(CheckWarmStartBasis({0, 1, 2}, 3, 4, 9).empty());
-}
-
-// ---------------------------------------------------------------------------
 // Checker: enclosing balls.
 // ---------------------------------------------------------------------------
 

@@ -104,7 +104,8 @@ TEST(UhTest, NoisyUserTerminates) {
   UhRandom uh(sky, opt);
   Rng rng(39);
   for (int trial = 0; trial < 3; ++trial) {
-    NoisyUser user(rng.SimplexUniform(3), 0.3, rng);
+    NoisyUser user(rng.SimplexUniform(3), 0.3,
+                   static_cast<uint64_t>(390 + trial));
     InteractionResult r = uh.Interact(user);
     EXPECT_LE(r.rounds, opt.max_rounds);
     EXPECT_LT(r.best_index, sky.size());
@@ -171,7 +172,7 @@ TEST(SinglePassTest, NoisyUserTerminates) {
   opt.max_questions = 500;
   SinglePass sp(sky, opt);
   Rng rng(49);
-  NoisyUser user(rng.SimplexUniform(3), 0.2, rng);
+  NoisyUser user(rng.SimplexUniform(3), 0.2, 490);
   InteractionResult r = sp.Interact(user);
   EXPECT_LE(r.rounds, 500u);
 }

@@ -375,6 +375,88 @@ std::vector<Vec> FleetUtilities(size_t count, size_t d, uint64_t seed) {
   return utilities;
 }
 
+/// Crash-injection point for DriveWithUsersDurable: the simulated process
+/// dies immediately BEFORE asking the user for answer number
+/// `after_answers` (0-based count of answers already delivered). Dying
+/// before the Ask keeps simulated users' Rng streams aligned across the
+/// crash: a user is only ever consulted for answers that were also logged.
+struct CrashPoint {
+  static constexpr size_t kNever = static_cast<size_t>(-1);
+  size_t after_answers = kNever;
+};
+
+/// Outcome of a durable drive: either the population ran to completion
+/// (results in session-id order) or the injected crash fired first.
+struct DurableDriveOutcome {
+  bool crashed = false;
+  std::vector<InteractionResult> results;
+};
+
+/// DriveWithUsers with durability, the crash-injection harness over
+/// SessionScheduler and SessionStore: checkpoints the population into
+/// `store` up front and then every `checkpoint_every_ticks` ticks (0 = only
+/// the initial checkpoint), and write-ahead-logs every answer before
+/// posting it. With the default CrashPoint it returns exactly DriveWithUsers'
+/// results; with an armed CrashPoint it returns {crashed = true} at the
+/// injected point, leaving `store` holding everything recovery needs.
+Result<DurableDriveOutcome> DriveWithUsersDurable(
+    SessionScheduler& scheduler, const std::vector<UserOracle*>& users,
+    SessionStore& store, size_t checkpoint_every_ticks,
+    CrashPoint crash = CrashPoint{}) {
+  ISRL_CHECK_EQ(users.size(), scheduler.size());
+  ISRL_ASSIGN_OR_RETURN(std::string snapshot, scheduler.CheckpointAll());
+  store.BeginEpoch(std::move(snapshot));
+  DurableDriveOutcome outcome;
+  size_t answers = 0;
+  // Pass 0 answers the questions a crash cut off before their answers were
+  // logged; pass t answers the t-th Tick().
+  std::vector<PendingQuestion> questions = scheduler.InFlight();
+  for (size_t ticks = 0; scheduler.active() > 0;
+       ++ticks, questions = scheduler.Tick()) {
+    for (const PendingQuestion& pq : questions) {
+      if (answers == crash.after_answers) {
+        // Simulated crash BEFORE the Ask: the user for this (and every
+        // later) question never consumes an Rng draw, so recovery resumes
+        // with user fault streams exactly where the log left them.
+        outcome.crashed = true;
+        return outcome;
+      }
+      Answer answer =
+          users[pq.session_id]->Ask(pq.question.first, pq.question.second);
+      store.LogAnswer(pq.session_id, answer);  // write-ahead
+      scheduler.PostAnswer(pq.session_id, answer);
+      ++answers;
+    }
+    if (ticks > 0 && checkpoint_every_ticks > 0 &&
+        ticks % checkpoint_every_ticks == 0 && scheduler.active() > 0) {
+      ISRL_ASSIGN_OR_RETURN(std::string fresh, scheduler.CheckpointAll());
+      store.BeginEpoch(std::move(fresh));
+    }
+  }
+  outcome.results.reserve(scheduler.size());
+  for (size_t id = 0; id < scheduler.size(); ++id) {
+    outcome.results.push_back(scheduler.Take(id));
+  }
+  return outcome;
+}
+
+// Writes a serialised store to a scratch file and reads it back through
+// SessionStore::LoadFile, the only way a store re-enters a process. The
+// file is named after the running test, so test processes that run in
+// parallel never share one.
+Result<SessionStore> LoadStoreBytes(const std::string& bytes) {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string path = ::testing::TempDir();
+  path.append("/isrl_store_bytes_").append(test->test_suite_name());
+  path.append(".").append(test->name()).append(".bin");
+  Status written = snapshot::WriteFileBytes(path, bytes);
+  if (!written.ok()) return written;
+  Result<SessionStore> loaded = SessionStore::LoadFile(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
 TEST(SchedulerDurabilityTest, DurableDriveMatchesPlainDrive) {
   Roster roster(SmallSkyline(250, 3, 61));
   RunBudget budget;
@@ -449,7 +531,7 @@ TEST(SchedulerDurabilityTest, CrashAtEveryAnswerRecoversIdentically) {
     // "Reboot": the store is all that survives (round-trip it through its
     // serialised form to prove it), plus the live algorithm instances and
     // the humans mid-conversation.
-    Result<SessionStore> reloaded = SessionStore::Deserialize(store.Serialize());
+    Result<SessionStore> reloaded = LoadStoreBytes(store.Serialize());
     ASSERT_TRUE(reloaded.ok()) << label << ": " << reloaded.status().ToString();
     Result<SessionScheduler> recovered =
         RecoverScheduler(*reloaded, roster.Resolver());
@@ -881,7 +963,7 @@ TEST(CorruptionTest, CorruptSessionStoreIsAHardError) {
   store.LogCancel(1);
   std::string bytes = store.Serialize();
 
-  Result<SessionStore> good = SessionStore::Deserialize(bytes);
+  Result<SessionStore> good = LoadStoreBytes(bytes);
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   EXPECT_EQ(good->population(), "population-bytes");
   ASSERT_EQ(good->wal().size(), 2u);
@@ -890,7 +972,7 @@ TEST(CorruptionTest, CorruptSessionStoreIsAHardError) {
   EXPECT_EQ(good->wal()[1].kind, WalRecord::kCancel);
 
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0xFF);
-  Result<SessionStore> corrupt = SessionStore::Deserialize(bytes);
+  Result<SessionStore> corrupt = LoadStoreBytes(bytes);
   EXPECT_FALSE(corrupt.ok());
 }
 

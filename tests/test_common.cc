@@ -37,7 +37,6 @@ TEST(VecTest, Arithmetic) {
   Vec diff = b - a;
   EXPECT_TRUE(ApproxEqual(diff, Vec{3.0, 3.0, 3.0}));
   EXPECT_TRUE(ApproxEqual(a * 2.0, Vec{2.0, 4.0, 6.0}));
-  EXPECT_TRUE(ApproxEqual(2.0 * a, Vec{2.0, 4.0, 6.0}));
   EXPECT_TRUE(ApproxEqual(b / 2.0, Vec{2.0, 2.5, 3.0}));
 }
 
@@ -53,8 +52,6 @@ TEST(VecTest, DotAndNorms) {
 TEST(VecTest, Reductions) {
   Vec a{1.0, -2.0, 5.0, 3.0};
   EXPECT_DOUBLE_EQ(a.Sum(), 7.0);
-  EXPECT_DOUBLE_EQ(a.Max(), 5.0);
-  EXPECT_DOUBLE_EQ(a.Min(), -2.0);
   EXPECT_EQ(a.ArgMax(), 2u);
 }
 
@@ -91,22 +88,6 @@ TEST(VecDeathTest, DimensionMismatchAborts) {
 
 // ---------- Matrix ----------
 
-TEST(MatrixTest, MultiplyVector) {
-  Matrix m(2, 3);
-  m(0, 0) = 1.0; m(0, 1) = 2.0; m(0, 2) = 3.0;
-  m(1, 0) = 4.0; m(1, 1) = 5.0; m(1, 2) = 6.0;
-  Vec x{1.0, 1.0, 1.0};
-  EXPECT_TRUE(ApproxEqual(m.Multiply(x), Vec{6.0, 15.0}));
-  Vec y{1.0, 2.0};
-  EXPECT_TRUE(ApproxEqual(m.MultiplyTransposed(y), Vec{9.0, 12.0, 15.0}));
-}
-
-TEST(MatrixTest, Identity) {
-  Matrix id = Matrix::Identity(3);
-  Vec x{2.0, -1.0, 0.5};
-  EXPECT_TRUE(ApproxEqual(id.Multiply(x), x));
-}
-
 TEST(MatrixTest, FromRowsStacksAndRowVecExtracts) {
   std::vector<Vec> rows = {Vec{1.0, 2.0}, Vec{3.0, 4.0}, Vec{5.0, 6.0}};
   Matrix m = Matrix::FromRows(rows);
@@ -127,9 +108,9 @@ TEST(GemmTest, TransposedBMatchesNaive) {
       Matrix a(m, k), b(n, k);
       for (double& v : a.data()) v = rng.Uniform(-1.0, 1.0);
       for (double& v : b.data()) v = rng.Uniform(-1.0, 1.0);
-      Matrix c = MatMulTransposedB(a, b);
-      ASSERT_EQ(c.rows(), m);
-      ASSERT_EQ(c.cols(), n);
+      Matrix c(m, n);
+      GemmTransposedB(m, n, k, a.data().data(), b.data().data(), nullptr,
+                      c.data().data());
       for (size_t i = 0; i < m; ++i) {
         for (size_t j = 0; j < n; ++j) {
           double want = 0.0;
@@ -150,7 +131,9 @@ TEST(GemmTest, BiasIsAddedPerColumn) {
   Matrix c(2, 4);
   GemmTransposedB(2, 4, 3, a.data().data(), b.data().data(), bias.raw(),
                   c.data().data());
-  Matrix no_bias = MatMulTransposedB(a, b);
+  Matrix no_bias(2, 4);
+  GemmTransposedB(2, 4, 3, a.data().data(), b.data().data(), nullptr,
+                  no_bias.data().data());
   for (size_t i = 0; i < 2; ++i) {
     for (size_t j = 0; j < 4; ++j) {
       EXPECT_NEAR(c(i, j), no_bias(i, j) + bias[j], 1e-12);
@@ -166,7 +149,9 @@ TEST(GemmTest, SingleRowIsBitIdenticalToDotProduct) {
   Matrix a(1, k), b(6, k);
   for (double& v : a.data()) v = rng.Uniform(-1.0, 1.0);
   for (double& v : b.data()) v = rng.Uniform(-1.0, 1.0);
-  Matrix c = MatMulTransposedB(a, b);
+  Matrix c(1, 6);
+  GemmTransposedB(1, 6, k, a.data().data(), b.data().data(), nullptr,
+                  c.data().data());
   for (size_t j = 0; j < 6; ++j) {
     double want = 0.0;
     for (size_t t = 0; t < k; ++t) want += a(0, t) * b(j, t);
@@ -222,7 +207,8 @@ TEST(LinearSolveTest, RandomRoundTrip) {
       for (size_t c = 0; c < n; ++c) a(r, c) = rng.Uniform(-1.0, 1.0);
       a(r, r) += 3.0;  // diagonally dominant: well-conditioned
     }
-    Vec b = a.Multiply(truth);
+    Vec b(n);
+    for (size_t r = 0; r < n; ++r) b[r] = Dot(a.RowVec(r), truth);
     Vec x;
     ASSERT_TRUE(SolveLinearSystem(a, b, &x));
     EXPECT_TRUE(ApproxEqual(x, truth, 1e-8)) << "n=" << n;

@@ -1,5 +1,7 @@
 // End-to-end tests for algorithm EA: the exact-guarantee property, training,
 // tracing, determinism, and the noisy-user extension.
+#include <memory>
+
 #include <gtest/gtest.h>
 
 #include "core/ea.h"
@@ -174,7 +176,7 @@ TEST(EaTest, NoisyUserDegradesGracefully) {
   Rng rng(16);
   for (int trial = 0; trial < 5; ++trial) {
     Vec u = rng.SimplexUniform(3);
-    NoisyUser user(u, 0.25, rng);
+    NoisyUser user(u, 0.25, static_cast<uint64_t>(160 + trial));
     InteractionResult r = ea.Interact(user);
     EXPECT_LT(r.best_index, sky.size());
     EXPECT_LE(r.rounds, opt.max_rounds);
@@ -192,8 +194,9 @@ TEST(EaTest, MajorityVoteRecoversAccuracyUnderNoise) {
   const int trials = 10;
   for (int trial = 0; trial < trials; ++trial) {
     Vec u = rng.SimplexUniform(3);
-    NoisyUser noisy(u, 0.15, rng);
-    MajorityVoteUser voter(&noisy, 5);
+    MajorityVoteUser voter(std::make_unique<NoisyUser>(
+                               u, 0.15, static_cast<uint64_t>(180 + trial)),
+                           5);
     InteractionResult r = ea.Interact(voter);
     if (RegretRatioAt(sky, r.best_index, u) < opt.epsilon) ++ok;
   }

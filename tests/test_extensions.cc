@@ -38,7 +38,7 @@ TEST(FlagsTest, DefaultsWhenAbsent) {
   Flags flags = Flags::Parse(1, argv);
   EXPECT_EQ(flags.GetString("algo", "ea"), "ea");
   EXPECT_DOUBLE_EQ(flags.GetDouble("eps", 0.1), 0.1);
-  EXPECT_FALSE(flags.Has("eps"));
+  EXPECT_TRUE(flags.RequireKnown({}).ok());  // no flag was passed at all
 }
 
 TEST(FlagsTest, MalformedDoubleFallsBack) {
@@ -65,19 +65,19 @@ rl::Transition MakeTransition(double feature, double reward) {
   return t;
 }
 
-// Fresh (non-stale) update handle for slot `index`.
-rl::PrioritizedSample HandleFor(const rl::PrioritizedReplayMemory& mem,
-                                size_t index) {
+// Fresh (non-stale) update handle for slot `index` of a memory that has not
+// wrapped: that slot holds Add number index + 1, its generation stamp.
+rl::PrioritizedSample HandleFor(size_t index) {
   rl::PrioritizedSample s;
   s.index = index;
-  s.generation = mem.generation(index);
+  s.generation = index + 1;
   return s;
 }
 
 TEST(PrioritizedReplayTest, NewEntriesGetMaxPriority) {
   rl::PrioritizedReplayMemory mem(8);
   mem.Add(MakeTransition(1.0, 0.0));
-  EXPECT_TRUE(mem.UpdatePriority(HandleFor(mem, 0), 10.0));  // big TD error
+  EXPECT_TRUE(mem.UpdatePriority(HandleFor(0), 10.0));  // big TD error
   mem.Add(MakeTransition(2.0, 0.0));
   // The fresh entry inherits the running max priority.
   EXPECT_DOUBLE_EQ(mem.priority(1), mem.priority(0));
@@ -86,8 +86,8 @@ TEST(PrioritizedReplayTest, NewEntriesGetMaxPriority) {
 TEST(PrioritizedReplayTest, SamplingFollowsPriorities) {
   rl::PrioritizedReplayMemory mem(4);
   for (int i = 0; i < 4; ++i) mem.Add(MakeTransition(i, 0.0));
-  mem.UpdatePriority(HandleFor(mem, 0), 100.0);  // huge priority
-  for (int i = 1; i < 4; ++i) mem.UpdatePriority(HandleFor(mem, i), 1e-6);
+  mem.UpdatePriority(HandleFor(0), 100.0);  // huge priority
+  for (size_t i = 1; i < 4; ++i) mem.UpdatePriority(HandleFor(i), 1e-6);
   Rng rng(1);
   size_t hits = 0;
   auto batch = mem.Sample(500, rng);
@@ -101,7 +101,9 @@ TEST(PrioritizedReplayTest, WeightsNormalisedToAtMostOne) {
   rl::PrioritizedReplayMemory mem(8);
   for (int i = 0; i < 8; ++i) mem.Add(MakeTransition(i, 0.0));
   Rng rng(2);
-  for (int i = 0; i < 8; ++i) mem.UpdatePriority(HandleFor(mem, i), 0.5 + i);
+  for (size_t i = 0; i < 8; ++i) {
+    mem.UpdatePriority(HandleFor(i), 0.5 + static_cast<double>(i));
+  }
   for (const auto& s : mem.Sample(100, rng)) {
     EXPECT_GT(s.weight, 0.0);
     EXPECT_LE(s.weight, 1.0 + 1e-12);

@@ -74,14 +74,6 @@ TEST(DeadlineTest, DefaultNeverExpiresAndBudgetArmsIt) {
   EXPECT_TRUE(past.Expired());
 }
 
-TEST(TerminationTest, NamesAreStable) {
-  EXPECT_STREQ(TerminationName(Termination::kConverged), "converged");
-  EXPECT_STREQ(TerminationName(Termination::kDegraded), "degraded");
-  EXPECT_STREQ(TerminationName(Termination::kBudgetExhausted),
-               "budget-exhausted");
-  EXPECT_STREQ(TerminationName(Termination::kAborted), "aborted");
-}
-
 // --------------------------------------------------------------- FaultyUser
 
 TEST(FaultyUserTest, ZeroRatesBehaveLikeLinearUser) {
@@ -173,7 +165,7 @@ TEST(FaultToleranceTest, EaSurvives200SessionsAgainstFlippingUser) {
     FaultyUser user(urng.SimplexUniform(3), fopt);
     InteractionResult r = ea.Interact(user, budget);
     ASSERT_TRUE(IsAcceptableTermination(r.termination))
-        << "session " << session << " ended " << TerminationName(r.termination)
+        << "session " << session << " ended " << static_cast<int>(r.termination)
         << ": " << r.status.ToString();
     ASSERT_LT(r.best_index, sky.size());
     EXPECT_LE(r.rounds, budget.max_rounds);
@@ -207,7 +199,7 @@ TEST(FaultToleranceTest, AaSurvives200SessionsAgainstFlippingUser) {
     FaultyUser user(urng.SimplexUniform(3), fopt);
     InteractionResult r = aa.Interact(user, budget);
     ASSERT_TRUE(IsAcceptableTermination(r.termination))
-        << "session " << session << " ended " << TerminationName(r.termination)
+        << "session " << session << " ended " << static_cast<int>(r.termination)
         << ": " << r.status.ToString();
     ASSERT_LT(r.best_index, sky.size());
     EXPECT_LE(r.rounds, budget.max_rounds);
@@ -264,7 +256,7 @@ TEST(FaultToleranceTest, AaSurvivesInjectedLpFailures) {
   LinearUser user(Vec{0.2, 0.3, 0.5});
   InteractionResult r = aa.Interact(user, budget);
   EXPECT_TRUE(IsAcceptableTermination(r.termination))
-      << TerminationName(r.termination) << ": " << r.status.ToString();
+      << static_cast<int>(r.termination) << ": " << r.status.ToString();
   ASSERT_LT(r.best_index, sky.size());
   EXPECT_EQ(hook.failures_injected(), 2u);
   EXPECT_GT(hook.attempts_seen(), 2u);  // recovery retried and moved on
@@ -290,63 +282,6 @@ TEST(FaultToleranceTest, AbortsGracefullyWhenLpNeverRecovers) {
   EXPECT_FALSE(r.status.ok());
   EXPECT_FALSE(r.converged);
   ASSERT_LT(r.best_index, sky.size());
-}
-
-TEST(FaultToleranceTest, WarmStartFaultDegradesToColdBitIdentical) {
-  // The warm-start attempt is one more fault-injection point: when the hook
-  // kills it, SolveWithWarmStart must fall through to the cold retry ladder
-  // and return exactly what a cold solve returns (DESIGN.md §17).
-  lp::Model m;
-  for (size_t i = 0; i < 4; ++i) m.AddVariable(i == 0 ? 1.0 : 0.0);
-  m.AddConstraint(Vec(4, 1.0), lp::Relation::kEq, 1.0);
-  m.AddConstraint(Vec{0.4, -0.2, 0.3, -0.1}, lp::Relation::kGe, 0.0);
-  m.AddConstraint(Vec{-0.1, 0.5, -0.3, 0.2}, lp::Relation::kGe, 0.0);
-
-  lp::SolveResult cold = lp::SolveWithRecovery(m);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_FALSE(cold.warm.empty());
-
-  // Hook fails exactly the warm attempt; the cold fallback then runs clean.
-  lp::FailingLpHook hook(1);
-  lp::SolveResult r = lp::SolveWithWarmStart(m, cold.warm);
-  ASSERT_TRUE(r.ok()) << r.status.ToString();
-  EXPECT_EQ(hook.failures_injected(), 1u);
-  EXPECT_FALSE(r.diagnostics.warm_started);
-  EXPECT_TRUE(r.diagnostics.warm_rejected);
-  EXPECT_TRUE(r.diagnostics.injected_fault);
-  EXPECT_EQ(r.objective, cold.objective);
-  ASSERT_EQ(r.x.dim(), cold.x.dim());
-  for (size_t c = 0; c < r.x.dim(); ++c) EXPECT_EQ(r.x[c], cold.x[c]);
-}
-
-TEST(FaultToleranceTest, StaleAndCorruptWarmBasesDegradeUnderFaults) {
-  // Corrupt warm state (duplicated basis column, wrong shape) must never
-  // change an answer — only cost the warm shortcut. Verified with the fault
-  // hook armed so the injection path and the corruption path compose.
-  lp::Model m;
-  for (size_t i = 0; i < 3; ++i) m.AddVariable(i == 1 ? 1.0 : 0.0);
-  m.SetSense(lp::Sense::kMinimize);
-  m.AddConstraint(Vec(3, 1.0), lp::Relation::kEq, 1.0);
-  m.AddConstraint(Vec{0.2, 0.1, -0.3}, lp::Relation::kGe, 0.0);
-
-  lp::SolveResult cold = lp::SolveWithRecovery(m);
-  ASSERT_TRUE(cold.ok());
-
-  lp::WarmStart corrupt = cold.warm;
-  ASSERT_GE(corrupt.basis.size(), 2u);
-  corrupt.basis[0] = corrupt.basis[1];
-  lp::WarmStart stale = cold.warm;
-  stale.num_cols += 3;
-
-  for (const lp::WarmStart& bad : {corrupt, stale}) {
-    lp::FailingLpHook hook(0);  // armed but passing: counts attempts
-    lp::SolveResult r = lp::SolveWithWarmStart(m, bad);
-    ASSERT_TRUE(r.ok());
-    EXPECT_FALSE(r.diagnostics.warm_started);
-    EXPECT_TRUE(r.diagnostics.warm_rejected);
-    EXPECT_EQ(r.objective, cold.objective);
-    for (size_t c = 0; c < r.x.dim(); ++c) EXPECT_EQ(r.x[c], cold.x[c]);
-  }
 }
 
 TEST(FaultToleranceTest, FamilySolverRetriesThroughInjectedFailures) {
@@ -423,7 +358,7 @@ TEST(FaultToleranceTest, ConflictingGeometryDropsTheMostRecentAnswers) {
   EXPECT_GT(r.dropped_answers, 0u);
   EXPECT_TRUE(r.termination == Termination::kDegraded ||
               r.termination == Termination::kBudgetExhausted)
-      << TerminationName(r.termination) << ": " << r.status.ToString();
+      << static_cast<int>(r.termination) << ": " << r.status.ToString();
   ASSERT_LT(r.best_index, sky.size());
 }
 
@@ -467,7 +402,7 @@ TEST(FaultToleranceTest, ExpiredDeadlineReturnsImmediatelyWithValidIndex) {
        std::initializer_list<InteractiveAlgorithm*>{&ea, &aa}) {
     InteractionResult r = algo->Interact(user, budget);
     EXPECT_EQ(r.termination, Termination::kBudgetExhausted)
-        << algo->name() << " ended " << TerminationName(r.termination);
+        << algo->name() << " ended " << static_cast<int>(r.termination);
     EXPECT_EQ(r.rounds, 0u);
     ASSERT_LT(r.best_index, sky.size());
   }
@@ -522,7 +457,7 @@ TEST(FaultToleranceTest, BaselinesSurviveFaultyUsers) {
       InteractionResult r = algo->Interact(user, budget);
       ASSERT_TRUE(IsAcceptableTermination(r.termination))
           << algo->name() << " session " << session << " ended "
-          << TerminationName(r.termination);
+          << static_cast<int>(r.termination);
       ASSERT_LT(r.best_index, sky.size());
       EXPECT_LE(r.rounds, budget.max_rounds);
     }

@@ -1,13 +1,12 @@
 // Unit + property tests for the geometry substrate: half-spaces, the utility
-// range polyhedron (vertex enumeration), enclosing balls, convex-hull
-// extremeness, and hit-and-run sampling.
+// range polyhedron (vertex enumeration), enclosing balls, and hit-and-run
+// sampling.
 #include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "geometry/convex_hull.h"
 #include "geometry/enclosing_ball.h"
 #include "geometry/halfspace.h"
 #include "geometry/hit_and_run.h"
@@ -38,22 +37,6 @@ TEST(HalfspaceTest, FlippedIsComplement) {
   EXPECT_DOUBLE_EQ(h.Margin(inside), -f.Margin(inside));
 }
 
-TEST(HalfspaceTest, EpsilonHalfspaceLooserThanStrict) {
-  // εh contains everything h_{i,j} contains (for points in the positive
-  // orthant) plus an ε-band on the other side.
-  Vec pi{0.5, 0.5};
-  Vec pj{0.6, 0.4};
-  Halfspace strict = PreferenceHalfspace(pi, pj);
-  Halfspace relaxed = EpsilonHalfspace(pi, pj, 0.2);
-  Rng rng(17);
-  for (int i = 0; i < 200; ++i) {
-    Vec u = rng.SimplexUniform(2);
-    if (strict.Contains(u, 0.0)) {
-      EXPECT_TRUE(relaxed.Contains(u, 1e-12));
-    }
-  }
-}
-
 TEST(HalfspaceTest, DistanceToHyperplane) {
   Halfspace h{Vec{1.0, 0.0}, 0.0};  // plane x = 0
   EXPECT_NEAR(DistanceToHyperplane(Vec{3.0, 7.0}, h), 3.0, 1e-12);
@@ -71,7 +54,7 @@ TEST(PolyhedronTest, UnitSimplexVertices) {
     // Every vertex is a coordinate unit vector.
     for (const Vec& v : p.vertices()) {
       EXPECT_NEAR(v.Sum(), 1.0, 1e-9);
-      EXPECT_NEAR(v.Max(), 1.0, 1e-9);
+      EXPECT_NEAR(v[v.ArgMax()], 1.0, 1e-9);
     }
   }
 }
@@ -432,136 +415,6 @@ TEST(EnclosingBallTest, IterativeShrinksRadiusAcrossIterations) {
   for (const Vec& p : pts) start_radius = std::max(start_radius, Distance(mean, p));
   Ball b = IterativeOuterBall(pts);
   EXPECT_LE(b.radius, start_radius + 1e-9);
-}
-
-// ---------- Convex hull ----------
-
-TEST(ConvexHullTest, SquareCornersExtreme) {
-  std::vector<Vec> pts{Vec{0.0, 0.0}, Vec{1.0, 0.0}, Vec{0.0, 1.0},
-                       Vec{1.0, 1.0}, Vec{0.5, 0.5}};
-  auto extreme = ExtremePointIndices(pts);
-  ASSERT_EQ(extreme.size(), 4u);
-  EXPECT_TRUE(std::find(extreme.begin(), extreme.end(), 4u) == extreme.end());
-}
-
-TEST(ConvexHullTest, CollinearMiddleNotExtreme) {
-  std::vector<Vec> pts{Vec{0.0, 0.0}, Vec{0.5, 0.5}, Vec{1.0, 1.0}};
-  EXPECT_TRUE(IsExtremePoint(pts, 0));
-  EXPECT_FALSE(IsExtremePoint(pts, 1));
-  EXPECT_TRUE(IsExtremePoint(pts, 2));
-}
-
-TEST(ConvexHullTest, SinglePointExtreme) {
-  std::vector<Vec> pts{Vec{0.3, 0.4}};
-  EXPECT_TRUE(IsExtremePoint(pts, 0));
-}
-
-TEST(ConvexHullTest, ArgmaxOfLinearFunctionIsExtreme) {
-  // Property: the maximiser of any linear function over a finite set is a
-  // hull vertex (used by UH-Simplex's selection rule).
-  Rng rng(11);
-  std::vector<Vec> pts;
-  for (int i = 0; i < 20; ++i) {
-    pts.push_back(Vec{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0),
-                      rng.Uniform(0.0, 1.0)});
-  }
-  for (int trial = 0; trial < 5; ++trial) {
-    Vec w = rng.SimplexUniform(3);
-    size_t best = 0;
-    for (size_t i = 1; i < pts.size(); ++i) {
-      if (Dot(w, pts[i]) > Dot(w, pts[best])) best = i;
-    }
-    EXPECT_TRUE(IsExtremePoint(pts, best));
-  }
-}
-
-TEST(ConvexHullTest, SharedLpMatchesPerPointQueries) {
-  // ExtremePointIndices patches one shared LP per query (excluded column +
-  // RHS); its verdicts must match fresh single-point IsExtremePoint calls,
-  // which rebuild from scratch — a regression check on the column
-  // restore/exclude bookkeeping.
-  Rng rng(13);
-  std::vector<Vec> pts;
-  for (int i = 0; i < 15; ++i) {
-    pts.push_back(Vec{rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0),
-                      rng.Uniform(0.0, 1.0), rng.Uniform(0.0, 1.0)});
-  }
-  // Add interior points (convex combinations) that must never be extreme.
-  pts.push_back((pts[0] + pts[1]) / 2.0);
-  pts.push_back((pts[2] + pts[3] + pts[4]) / 3.0);
-  std::vector<size_t> shared = ExtremePointIndices(pts);
-  std::vector<size_t> fresh;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    if (IsExtremePoint(pts, i)) fresh.push_back(i);
-  }
-  EXPECT_EQ(shared, fresh);
-  for (size_t idx : shared) EXPECT_LT(idx, pts.size() - 2);
-}
-
-TEST(ConvexHullTest, DuplicateQueriesReuseSharedModel) {
-  // Re-querying the same index through the shared model (restore → exclude
-  // round trip on the same column) must be idempotent.
-  std::vector<Vec> pts{Vec{0.0, 0.0}, Vec{1.0, 0.0}, Vec{0.0, 1.0},
-                       Vec{0.25, 0.25}};
-  std::vector<size_t> first = ExtremePointIndices(pts);
-  std::vector<size_t> second = ExtremePointIndices(pts);
-  EXPECT_EQ(first, second);
-  ASSERT_EQ(first.size(), 3u);
-}
-
-TEST(ConvexHullTest, DuplicatedVertexStaysExtreme) {
-  // Regression: a bitwise twin of a hull vertex used to "represent" the
-  // query (λ_twin = 1), so every copy reported non-extreme and the vertex
-  // vanished from the hull. All points equal to the query are excluded from
-  // the combination, so each copy answers like the unique vertex would.
-  std::vector<Vec> pts{Vec{0.0, 0.0}, Vec{1.0, 0.0}, Vec{0.0, 1.0},
-                       Vec{1.0, 0.0},   // twin of index 1
-                       Vec{0.4, 0.3}};  // interior
-  EXPECT_TRUE(IsExtremePoint(pts, 1));
-  EXPECT_TRUE(IsExtremePoint(pts, 3));
-  EXPECT_FALSE(IsExtremePoint(pts, 4));
-  std::vector<size_t> extreme = ExtremePointIndices(pts);
-  EXPECT_EQ(extreme, (std::vector<size_t>{0, 1, 2, 3}));
-}
-
-TEST(ConvexHullTest, AllIdenticalPointsAllExtreme) {
-  // n copies of one point: the hull is that point, and with every twin
-  // excluded the combination LP is infeasible for each copy. Previously the
-  // answer was an empty extreme set.
-  std::vector<Vec> pts{Vec{0.5, 0.5, 0.5}, Vec{0.5, 0.5, 0.5},
-                       Vec{0.5, 0.5, 0.5}};
-  for (size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_TRUE(IsExtremePoint(pts, i)) << "copy " << i;
-  }
-  EXPECT_EQ(ExtremePointIndices(pts), (std::vector<size_t>{0, 1, 2}));
-}
-
-TEST(ConvexHullTest, DimensionOneEndpoints) {
-  // d = 1 degenerate case: the hull of scalars is [min, max]; only the
-  // endpoints (and their duplicates) are extreme.
-  std::vector<Vec> pts{Vec{0.3}, Vec{0.9}, Vec{0.1}, Vec{0.5}, Vec{0.9}};
-  EXPECT_EQ(ExtremePointIndices(pts), (std::vector<size_t>{1, 2, 4}));
-  EXPECT_FALSE(IsExtremePoint(pts, 0));
-  EXPECT_FALSE(IsExtremePoint(pts, 3));
-}
-
-TEST(ConvexHullTest, CoplanarSquareInThreeDimensions) {
-  // A planar square embedded in R³ (rank-deficient affine hull) plus its
-  // centre: the LP certificate needs no full-dimensionality assumption.
-  std::vector<Vec> pts{Vec{0.0, 0.0, 0.5}, Vec{1.0, 0.0, 0.5},
-                       Vec{0.0, 1.0, 0.5}, Vec{1.0, 1.0, 0.5},
-                       Vec{0.5, 0.5, 0.5}};
-  EXPECT_EQ(ExtremePointIndices(pts), (std::vector<size_t>{0, 1, 2, 3}));
-}
-
-TEST(ConvexHullTest, CollinearSetWithDuplicatesInThreeDimensions) {
-  // Collinear points in R³ with a duplicated endpoint and a duplicated
-  // midpoint: endpoints (both copies) extreme, midpoints not.
-  Vec a{0.0, 0.0, 0.0};
-  Vec b{1.0, 2.0, 3.0};
-  Vec mid = (a + b) / 2.0;
-  std::vector<Vec> pts{a, mid, b, mid, a};
-  EXPECT_EQ(ExtremePointIndices(pts), (std::vector<size_t>{0, 2, 4}));
 }
 
 // ---------- Hit-and-run ----------

@@ -190,7 +190,7 @@ TEST_P(SimplexCornerProperty, LinearObjectiveOverSimplexHitsCorner) {
     m.AddConstraint(Vec(d, 1.0), Relation::kEq, 1.0);
     SolveResult r = Solve(m);
     ASSERT_TRUE(r.ok());
-    EXPECT_NEAR(r.objective, c.Max(), 1e-9);
+    EXPECT_NEAR(r.objective, c[c.ArgMax()], 1e-9);
     EXPECT_NEAR(r.x.Sum(), 1.0, 1e-9);
   }
 }
@@ -246,7 +246,7 @@ TEST_P(SimplexRandomProperty, OptimumBeatsRandomFeasiblePoints) {
 INSTANTIATE_TEST_SUITE_P(Dims, SimplexRandomProperty,
                          ::testing::Values(2, 3, 5, 10));
 
-// ---------- Warm starts and LP families (DESIGN.md §17) ----------
+// ---------- LP families (DESIGN.md §17) ----------
 
 // AA-shaped member: optimise one coordinate over the utility simplex cut by
 // learned ≥ half-spaces. All members over the same `normals` share constraint
@@ -276,87 +276,6 @@ std::vector<Vec> FeasibleNormals(Rng* rng, size_t d, size_t count) {
     normals.push_back(n);
   }
   return normals;
-}
-
-TEST(WarmStartTest, ResolvingSameModelStartsWarm) {
-  Rng rng(301);
-  std::vector<Vec> normals = FeasibleNormals(&rng, 5, 4);
-  Model m = RectangleExtentModel(normals, 5, 0, /*maximize=*/true);
-  SolveResult cold = SolveWithRecovery(m);
-  ASSERT_TRUE(cold.ok()) << cold.status.ToString();
-  ASSERT_FALSE(cold.warm.empty());
-
-  SolveResult warm = SolveWithWarmStart(m, cold.warm);
-  ASSERT_TRUE(warm.ok()) << warm.status.ToString();
-  EXPECT_TRUE(warm.diagnostics.warm_started);
-  EXPECT_FALSE(warm.diagnostics.warm_rejected);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-12);
-  // Re-solving from the optimal basis skips phase 1 and re-proves
-  // optimality in a single pricing pass.
-  EXPECT_LT(warm.diagnostics.iterations, cold.diagnostics.iterations);
-}
-
-TEST(WarmStartTest, PatchedModelStaysCorrect) {
-  // The convex-hull sweep reuse pattern: same shape, a few patched entries.
-  Rng rng(302);
-  std::vector<Vec> normals = FeasibleNormals(&rng, 4, 3);
-  Model m = RectangleExtentModel(normals, 4, 1, /*maximize=*/false);
-  SolveResult first = SolveWithRecovery(m);
-  ASSERT_TRUE(first.ok());
-
-  Model patched = m;
-  patched.SetConstraintRhs(1, -0.05);  // relax one learned cut
-  SolveResult warm = SolveWithWarmStart(patched, first.warm);
-  SolveResult cold = SolveWithRecovery(patched);
-  ASSERT_EQ(warm.ok(), cold.ok());
-  ASSERT_TRUE(warm.ok());
-  // Whether or not the warm basis survived the patch, the optimum must
-  // agree with the cold solve of the patched model.
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-9);
-}
-
-TEST(WarmStartTest, CorruptBasisDegradesToColdBitIdentical) {
-  Rng rng(303);
-  std::vector<Vec> normals = FeasibleNormals(&rng, 5, 4);
-  Model m = RectangleExtentModel(normals, 5, 2, /*maximize=*/true);
-  SolveResult cold = SolveWithRecovery(m);
-  ASSERT_TRUE(cold.ok());
-
-  WarmStart duplicate = cold.warm;
-  ASSERT_GE(duplicate.basis.size(), 2u);
-  duplicate.basis[0] = duplicate.basis[1];
-  WarmStart out_of_range = cold.warm;
-  out_of_range.basis[0] = cold.warm.num_cols + 17;
-  WarmStart artificial = cold.warm;
-  artificial.basis[0] = cold.warm.first_artificial;  // artificials banned
-  WarmStart stale = cold.warm;
-  stale.num_rows += 1;  // shape fingerprint from some other model
-
-  for (const WarmStart& bad : {duplicate, out_of_range, artificial, stale}) {
-    SolveResult r = SolveWithWarmStart(m, bad);
-    ASSERT_TRUE(r.ok()) << r.status.ToString();
-    EXPECT_FALSE(r.diagnostics.warm_started);
-    EXPECT_TRUE(r.diagnostics.warm_rejected);
-    // The fallback is the cold retry ladder itself, so the degraded result
-    // is bit-identical to a cold solve, not merely close.
-    EXPECT_EQ(r.objective, cold.objective);
-    ASSERT_EQ(r.x.dim(), cold.x.dim());
-    for (size_t c = 0; c < r.x.dim(); ++c) EXPECT_EQ(r.x[c], cold.x[c]);
-  }
-}
-
-TEST(WarmStartTest, EmptyWarmStartIsPlainRecovery) {
-  Rng rng(304);
-  std::vector<Vec> normals = FeasibleNormals(&rng, 3, 2);
-  Model m = RectangleExtentModel(normals, 3, 0, /*maximize=*/false);
-  SolveResult r = SolveWithWarmStart(m, WarmStart{});
-  SolveResult cold = SolveWithRecovery(m);
-  ASSERT_EQ(r.ok(), cold.ok());
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r.diagnostics.warm_started);
-  EXPECT_FALSE(r.diagnostics.warm_rejected);
-  EXPECT_EQ(r.objective, cold.objective);
-  for (size_t c = 0; c < r.x.dim(); ++c) EXPECT_EQ(r.x[c], cold.x[c]);
 }
 
 class FamilySolverProperty : public ::testing::TestWithParam<size_t> {};
@@ -394,9 +313,15 @@ TEST(FamilySolverTest, NonMemberSolvedColdButCorrect) {
   SolveResult ra = family.Solve(a);
   ASSERT_TRUE(ra.ok());
 
-  // Different constraint structure: falls back to a cold recovery solve.
-  Model b = RectangleExtentModel(normals, 4, 1, /*maximize=*/false);
-  b.SetConstraintRhs(1, -0.25);
+  // Same shape as a member, one rhs changed: a different feasible set, so
+  // it falls back to a cold recovery solve.
+  Model b;
+  for (size_t i = 0; i < 4; ++i) b.AddVariable(i == 1 ? 1.0 : 0.0);
+  b.SetSense(Sense::kMinimize);
+  b.AddConstraint(Vec(4, 1.0), Relation::kEq, 1.0);
+  for (size_t k = 0; k < normals.size(); ++k) {
+    b.AddConstraint(normals[k], Relation::kGe, k == 0 ? -0.25 : 0.0);
+  }
   SolveResult rb = family.Solve(b);
   SolveResult cold = SolveWithRecovery(b);
   ASSERT_EQ(rb.status.code(), cold.status.code());
@@ -412,8 +337,8 @@ TEST(FamilySolverTest, NonMemberSolvedColdButCorrect) {
 // kernels must leave it bit for bit as it was. The pins below were recorded
 // with the column-at-a-time pricing loop over per-row vectors, before the
 // row-major pricing on one contiguous tableau (DESIGN.md §17). Each pin holds
-// the status, the iteration count, whether Bland's rule ran, an FNV-1a hash
-// of the objective and x bits, and an FNV-1a hash of the exported warm basis.
+// the status, the iteration count, whether Bland's rule ran and an FNV-1a
+// hash of the objective and x bits.
 
 constexpr uint64_t kFnvBasis = 14695981039346656037ULL;
 
@@ -433,21 +358,12 @@ uint64_t SolutionHash(const SolveResult& r) {
   return h;
 }
 
-uint64_t BasisHash(const WarmStart& w) {
-  uint64_t h = FnvWord(kFnvBasis, w.num_rows);
-  h = FnvWord(h, w.num_cols);
-  h = FnvWord(h, w.first_artificial);
-  for (size_t col : w.basis) h = FnvWord(h, col);
-  return h;
-}
-
 struct PivotPin {
   const char* name;
   StatusCode code;
   size_t iterations;
   bool used_bland;
   uint64_t solution_hash;
-  uint64_t basis_hash;
 };
 
 // Preference cuts between hypercube-uniform items, oriented around a hidden
@@ -535,7 +451,28 @@ Model MixedModel(size_t d, uint64_t seed, size_t extra_rows, bool with_free,
 struct PivotObservation {
   std::string name;
   SolveResult result;
+  size_t tableau_rows;
+  size_t tableau_cols;
 };
+
+// The dense tableau's shape for `m`, laid out as lp/simplex.cc builds it:
+// one column per non-negative variable and two per free one, a slack per
+// inequality, and an artificial per equality or per row that is a ≥ row
+// once its rhs is made non-negative.
+std::pair<size_t, size_t> TableauShape(const Model& m) {
+  size_t cols = 0;
+  for (bool nonneg : m.nonneg()) cols += nonneg ? 1 : 2;
+  for (const Constraint& c : m.constraints()) {
+    if (c.relation == Relation::kEq) {
+      ++cols;
+      continue;
+    }
+    ++cols;  // slack
+    const bool ge = (c.relation == Relation::kGe) == (c.rhs >= 0.0);
+    if (ge) ++cols;
+  }
+  return {m.num_constraints(), cols};
+}
 
 // snprintf rather than std::string operator+: gcc 12 reports a false
 // -Wrestrict on `"literal" + std::to_string(n)` chains.
@@ -548,17 +485,18 @@ std::string Label(const char* format, Args... args) {
 
 std::vector<PivotObservation> RunPivotCorpus() {
   std::vector<PivotObservation> out;
-  auto add = [&out](std::string name, SolveResult r) {
-    out.push_back({std::move(name), std::move(r)});
+  auto add = [&out](std::string name, const Model& m, SolveResult r) {
+    const auto [rows, cols] = TableauShape(m);
+    out.push_back({std::move(name), std::move(r), rows, cols});
   };
   const size_t dims[] = {2, 3, 5, 10, 15, 20};
   for (size_t d : dims) {
     for (size_t variant = 0; variant < 4; ++variant) {
       const size_t rows = d + variant * (d / 2 + 1);
-      add(Label("mixed_d%zu_v%zu", d, variant),
-          SolveWithRecovery(MixedModel(d, 500 + 10 * d + variant, rows,
-                                       /*with_free=*/variant % 2 == 1,
-                                       /*with_eq=*/variant >= 2)));
+      const Model m = MixedModel(d, 500 + 10 * d + variant, rows,
+                                 /*with_free=*/variant % 2 == 1,
+                                 /*with_eq=*/variant >= 2);
+      add(Label("mixed_d%zu_v%zu", d, variant), m, SolveWithRecovery(m));
     }
   }
   // Inner-sphere probes; d=20 with 32 and 64 cuts runs past the Bland
@@ -567,8 +505,8 @@ std::vector<PivotObservation> RunPivotCorpus() {
       {2, 4}, {3, 8}, {5, 16}, {10, 16}, {10, 32}, {15, 32}, {20, 32},
       {20, 64}};
   for (const auto& [d, cuts] : spheres) {
-    add(Label("sphere_d%zu_h%zu", d, cuts),
-        SolveWithRecovery(InnerSphereModel(SessionNormals(d, cuts), d)));
+    const Model m = InnerSphereModel(SessionNormals(d, cuts), d);
+    add(Label("sphere_d%zu_h%zu", d, cuts), m, SolveWithRecovery(m));
   }
   {
     // One row: phase 1 on a single artificial, then phase 2.
@@ -576,21 +514,21 @@ std::vector<PivotObservation> RunPivotCorpus() {
     Rng rng(601);
     for (size_t v = 0; v < 5; ++v) m.AddVariable(rng.Uniform(-1.0, 1.0));
     m.AddConstraint(Vec(5, 1.0), Relation::kEq, 1.0);
-    add("one_row_d5", SolveWithRecovery(m));
+    add("one_row_d5", m, SolveWithRecovery(m));
   }
   {
     Model m;  // Σu = 1 with u₀ ≥ 2 is empty.
     for (size_t v = 0; v < 3; ++v) m.AddVariable(1.0);
     m.AddConstraint(Vec(3, 1.0), Relation::kEq, 1.0);
     m.AddConstraint(Vec{1.0, 0.0, 0.0}, Relation::kGe, 2.0);
-    add("infeasible_d3", SolveWithRecovery(m));
+    add("infeasible_d3", m, SolveWithRecovery(m));
   }
   {
     Model m;  // max x₀ with only x₀ − x₁ ≤ 1: unbounded along x₀ = x₁.
     m.AddVariable(1.0);
     m.AddVariable(0.0);
     m.AddConstraint(Vec{1.0, -1.0}, Relation::kLe, 1.0);
-    add("unbounded_d2", SolveWithRecovery(m));
+    add("unbounded_d2", m, SolveWithRecovery(m));
   }
   {
     // One FamilySolver family: AA's 2d rectangle-extent LPs.
@@ -599,26 +537,16 @@ std::vector<PivotObservation> RunPivotCorpus() {
     FamilySolver family;
     for (size_t coord = 0; coord < d; ++coord) {
       for (bool maximize : {false, true}) {
+        const Model m = RectangleExtentModel(normals, d, coord, maximize);
         add(Label("family_d5_h16_u%zu_%s", coord, maximize ? "max" : "min"),
-            family.Solve(RectangleExtentModel(normals, d, coord, maximize)));
+            m, family.Solve(m));
       }
     }
   }
   {
-    // One warm-start install: relax every ≤ row, then resume from the
-    // unrelaxed optimum's basis.
-    const Model base = MixedModel(10, 777, 12, /*with_free=*/false,
-                                  /*with_eq=*/false);
-    SolveResult cold = SolveWithRecovery(base);
-    Model relaxed = base;
-    for (size_t r = 0; r < relaxed.num_constraints(); ++r) {
-      const Constraint& c = relaxed.constraints()[r];
-      if (c.relation == Relation::kLe) {
-        relaxed.SetConstraintRhs(r, c.rhs + 0.05);
-      }
-    }
-    add("warm_base_d10", cold);
-    add("warm_install_d10", SolveWithWarmStart(relaxed, cold.warm));
+    const Model m = MixedModel(10, 777, 12, /*with_free=*/false,
+                               /*with_eq=*/false);
+    add("cold_d10", m, SolveWithRecovery(m));
   }
   return out;
 }
@@ -653,110 +581,107 @@ std::string FormatPin(const PivotObservation& o) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "    {\"%s\", StatusCode::%s, %zu, %s,\n"
-                "     0x%016llxULL, 0x%016llxULL},\n",
+                "     0x%016llxULL},\n",
                 o.name.c_str(), CodeName(r.status.code()),
                 r.diagnostics.iterations,
                 r.diagnostics.used_bland ? "true" : "false",
-                static_cast<unsigned long long>(SolutionHash(r)),
-                static_cast<unsigned long long>(BasisHash(r.warm)));
+                static_cast<unsigned long long>(SolutionHash(r)));
   return buf;
 }
 
 const PivotPin kGoldenPins[] = {
     {"mixed_d2_v0", StatusCode::kOk, 3, false,
-     0xbb8b4f111c67787cULL, 0xd6df79fb94e4e384ULL},
+     0xbb8b4f111c67787cULL},
     {"mixed_d2_v1", StatusCode::kOk, 3, false,
-     0xea8ea510a2c1f9f1ULL, 0xe0c97860ceef7c6cULL},
+     0xea8ea510a2c1f9f1ULL},
     {"mixed_d2_v2", StatusCode::kOk, 5, false,
-     0x9d0b5e77c46cc569ULL, 0x6dd0b02fa7d9436eULL},
+     0x9d0b5e77c46cc569ULL},
     {"mixed_d2_v3", StatusCode::kOk, 5, false,
-     0xcc4fdaaddd060f6bULL, 0xfbb892b983f0e0ccULL},
+     0xcc4fdaaddd060f6bULL},
     {"mixed_d3_v0", StatusCode::kOk, 5, false,
-     0x96a5f00e9c541462ULL, 0xaae195573b5a4c6cULL},
+     0x96a5f00e9c541462ULL},
     {"mixed_d3_v1", StatusCode::kOk, 8, false,
-     0xe240d79e181b5576ULL, 0x6baad8563b078a1dULL},
+     0xe240d79e181b5576ULL},
     {"mixed_d3_v2", StatusCode::kOk, 8, false,
-     0xa4145f81d752f919ULL, 0x21a1967cd2b71567ULL},
+     0xa4145f81d752f919ULL},
     {"mixed_d3_v3", StatusCode::kOk, 10, false,
-     0x6c7e1f49c28c533eULL, 0x7ebe735d63c61710ULL},
+     0x6c7e1f49c28c533eULL},
     {"mixed_d5_v0", StatusCode::kOk, 8, false,
-     0x69c3fd18aa7d42c0ULL, 0x092450430eeebc73ULL},
+     0x69c3fd18aa7d42c0ULL},
     {"mixed_d5_v1", StatusCode::kOk, 12, false,
-     0xa11e1fccf50dd5cbULL, 0x9ab64850e47bdf79ULL},
+     0xa11e1fccf50dd5cbULL},
     {"mixed_d5_v2", StatusCode::kOk, 10, false,
-     0x471e8b786aefb8f5ULL, 0x4fe88d80b06f6a9dULL},
+     0x471e8b786aefb8f5ULL},
     {"mixed_d5_v3", StatusCode::kOk, 13, false,
-     0x42ce4f90626b0741ULL, 0x9bf12416ec6af1a3ULL},
+     0x42ce4f90626b0741ULL},
     {"mixed_d10_v0", StatusCode::kOk, 21, false,
-     0xa3ae7017e8079445ULL, 0xe47e69adbdc753f7ULL},
+     0xa3ae7017e8079445ULL},
     {"mixed_d10_v1", StatusCode::kOk, 26, false,
-     0x892f4312f9ccd49aULL, 0x5f8188594d965ac7ULL},
+     0x892f4312f9ccd49aULL},
     {"mixed_d10_v2", StatusCode::kOk, 19, false,
-     0x75c6a7dc8ed43871ULL, 0xed8cd6d4d45291deULL},
+     0x75c6a7dc8ed43871ULL},
     {"mixed_d10_v3", StatusCode::kOk, 23, false,
-     0xffc7e0cd883dc534ULL, 0x66768d22342b51c6ULL},
+     0xffc7e0cd883dc534ULL},
     {"mixed_d15_v0", StatusCode::kOk, 30, false,
-     0x0836a20f71a16ff7ULL, 0x66ff0748615f7fd3ULL},
+     0x0836a20f71a16ff7ULL},
     {"mixed_d15_v1", StatusCode::kOk, 41, false,
-     0x566e2b0e0d2a6cd7ULL, 0x58c7357fcfd997baULL},
+     0x566e2b0e0d2a6cd7ULL},
     {"mixed_d15_v2", StatusCode::kOk, 38, false,
-     0x9e860da3ab7a153cULL, 0x61646ddb4cfff04dULL},
+     0x9e860da3ab7a153cULL},
     {"mixed_d15_v3", StatusCode::kOk, 39, false,
-     0xbc870762fa9729ecULL, 0x7a08379354d48c10ULL},
+     0xbc870762fa9729ecULL},
     {"mixed_d20_v0", StatusCode::kOk, 32, false,
-     0x8ad185939b7e0869ULL, 0x7b66f3ec2c0fe369ULL},
+     0x8ad185939b7e0869ULL},
     {"mixed_d20_v1", StatusCode::kOk, 34, false,
-     0xc828b22d2e550402ULL, 0x648d1110bda99b5bULL},
+     0xc828b22d2e550402ULL},
     {"mixed_d20_v2", StatusCode::kOk, 47, false,
-     0x89a04c6edd308697ULL, 0x722f8f87a4b33095ULL},
+     0x89a04c6edd308697ULL},
     {"mixed_d20_v3", StatusCode::kOk, 62, false,
-     0x0fae4b2aae573123ULL, 0x6d38e24c0121f8f3ULL},
+     0x0fae4b2aae573123ULL},
     {"sphere_d2_h4", StatusCode::kOk, 9, false,
-     0xda184734a4669060ULL, 0xeb1c85bb0b30c6dcULL},
+     0xda184734a4669060ULL},
     {"sphere_d3_h8", StatusCode::kOk, 14, false,
-     0xbb91ff574c19ca54ULL, 0x9c9877fbaaa0ee38ULL},
+     0xbb91ff574c19ca54ULL},
     {"sphere_d5_h16", StatusCode::kOk, 41, false,
-     0x67dde2936596960bULL, 0x2601ab0b687663bcULL},
+     0x67dde2936596960bULL},
     {"sphere_d10_h16", StatusCode::kOk, 86, false,
-     0x999092fd710ac5ffULL, 0x1d195167cf414d53ULL},
+     0x999092fd710ac5ffULL},
     {"sphere_d10_h32", StatusCode::kOk, 364, false,
-     0x3f2725bc5f644418ULL, 0x2e4cce45a9442a02ULL},
+     0x3f2725bc5f644418ULL},
     {"sphere_d15_h32", StatusCode::kOk, 2093, true,
-     0xefa5f029e97e6acaULL, 0x6eb69cb8db3c265eULL},
+     0xefa5f029e97e6acaULL},
     {"sphere_d20_h32", StatusCode::kOk, 2737, true,
-     0x8fcc58dc73bbb49aULL, 0x24785edc0c961fddULL},
+     0x8fcc58dc73bbb49aULL},
     {"sphere_d20_h64", StatusCode::kOk, 3943, true,
-     0x9d6c8db7b995dec2ULL, 0x7d131a31be1dca1eULL},
+     0x9d6c8db7b995dec2ULL},
     {"one_row_d5", StatusCode::kOk, 4, false,
-     0x8bc3664df478f865ULL, 0xe7e022e76e5c7b44ULL},
+     0x8bc3664df478f865ULL},
     {"infeasible_d3", StatusCode::kInfeasible, 2, false,
-     0xa8c7f832281a39c5ULL, 0x81d23fd7003c2305ULL},
+     0xa8c7f832281a39c5ULL},
     {"unbounded_d2", StatusCode::kUnbounded, 2, false,
-     0xa8c7f832281a39c5ULL, 0x81d23fd7003c2305ULL},
+     0xa8c7f832281a39c5ULL},
     {"family_d5_h16_u0_min", StatusCode::kOk, 25, false,
-     0xba866fa4cb02f478ULL, 0xd8a892160f0917bdULL},
+     0xba866fa4cb02f478ULL},
     {"family_d5_h16_u0_max", StatusCode::kOk, 19, false,
-     0x943ea0c4603cbfeaULL, 0x1b909131eba0775bULL},
+     0x943ea0c4603cbfeaULL},
     {"family_d5_h16_u1_min", StatusCode::kOk, 21, false,
-     0xc4160423e34b6278ULL, 0x8037642eeecd048bULL},
+     0xc4160423e34b6278ULL},
     {"family_d5_h16_u1_max", StatusCode::kOk, 22, false,
-     0xe1c191fcb0660309ULL, 0x07702f0e2e75bbfcULL},
+     0xe1c191fcb0660309ULL},
     {"family_d5_h16_u2_min", StatusCode::kOk, 21, false,
-     0x804c0710f6814d7aULL, 0x43a157a0d32fd822ULL},
+     0x804c0710f6814d7aULL},
     {"family_d5_h16_u2_max", StatusCode::kOk, 23, false,
-     0xd0c1cca1c6084f59ULL, 0xa891b2d2fbb9375cULL},
+     0xd0c1cca1c6084f59ULL},
     {"family_d5_h16_u3_min", StatusCode::kOk, 22, false,
-     0x44e4919acab7ac49ULL, 0xe254d4ba3fca7443ULL},
+     0x44e4919acab7ac49ULL},
     {"family_d5_h16_u3_max", StatusCode::kOk, 22, false,
-     0x8ab280aff5030918ULL, 0x52f421457263d662ULL},
+     0x8ab280aff5030918ULL},
     {"family_d5_h16_u4_min", StatusCode::kOk, 21, false,
-     0x8b45be4084ffb15dULL, 0xc8a158e0c50493edULL},
+     0x8b45be4084ffb15dULL},
     {"family_d5_h16_u4_max", StatusCode::kOk, 22, false,
-     0x041fb4c6dea74a28ULL, 0x8037642eeecd048bULL},
-    {"warm_base_d10", StatusCode::kOk, 16, false,
-     0x97de7237851ffbe6ULL, 0x7e7395702802b4d5ULL},
-    {"warm_install_d10", StatusCode::kOk, 1, false,
-     0xf5fe3c6d7e701a70ULL, 0x0c2cdc9d9d306995ULL},
+     0x041fb4c6dea74a28ULL},
+    {"cold_d10", StatusCode::kOk, 16, false,
+     0x97de7237851ffbe6ULL},
 };
 
 TEST(GoldenPivotPathTest, EveryPinReproduces) {
@@ -773,29 +698,25 @@ TEST(GoldenPivotPathTest, EveryPinReproduces) {
     EXPECT_EQ(r.diagnostics.iterations, pin.iterations);
     EXPECT_EQ(r.diagnostics.used_bland, pin.used_bland);
     EXPECT_EQ(SolutionHash(r), pin.solution_hash);
-    EXPECT_EQ(BasisHash(r.warm), pin.basis_hash);
   }
 }
 
 TEST(GoldenPivotPathTest, CorpusCoversTheTableauShapes) {
   const std::vector<PivotObservation>& observed = PivotCorpus();
   // Every column-count residue mod 4 (the tableau stride's padding) and the
-  // one-row tableau are exercised; the d=20 probes pivot under Bland's rule;
-  // the warm install skips phase 1.
+  // one-row tableau are exercised; the d=20 probes pivot under Bland's rule.
   bool residue[4] = {false, false, false, false};
   bool one_row = false;
   size_t bland = 0;
   for (const PivotObservation& o : observed) {
     if (!o.result.ok()) continue;
-    residue[o.result.warm.num_cols % 4] = true;
-    one_row = one_row || o.result.warm.num_rows == 1;
+    residue[o.tableau_cols % 4] = true;
+    one_row = one_row || o.tableau_rows == 1;
     if (o.result.diagnostics.used_bland) ++bland;
   }
   for (size_t k = 0; k < 4; ++k) EXPECT_TRUE(residue[k]) << "residue " << k;
   EXPECT_TRUE(one_row);
   EXPECT_GE(bland, 2u);
-  EXPECT_EQ(observed.back().name, "warm_install_d10");
-  EXPECT_TRUE(observed.back().result.diagnostics.warm_started);
 }
 
 TEST(FamilySolverTest, InfeasibleFamilySharedAcrossMembers) {

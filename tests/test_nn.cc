@@ -94,7 +94,9 @@ TEST(NetworkTest, MlpShapes) {
   Vec out = net.Forward(Vec(4, 0.5));
   EXPECT_EQ(out.dim(), 1u);
   // 4*64 + 64 + 64*1 + 1 parameters.
-  EXPECT_EQ(net.NumParameters(), 4u * 64 + 64 + 64 + 1);
+  size_t params = 0;
+  for (ParamBlock& b : net.Params()) params += b.values->size();
+  EXPECT_EQ(params, 4u * 64 + 64 + 64 + 1);
 }
 
 TEST(NetworkTest, CloneIsDeepAndEqual) {
@@ -162,17 +164,6 @@ TEST(AdamTest, ReducesLossFasterThanFewSteps) {
     adam.Step(1);
   }
   EXPECT_LT(loss_at(0.5, 2.0), std::max(1e-6, before * 0.01));
-}
-
-TEST(OptimizerTest, ZeroGradsClears) {
-  Rng rng(8);
-  Network net = Network::Mlp({2, 3, 1}, Activation::kRelu, rng);
-  net.AccumulateMseSample(Vec{1.0, 1.0}, 0.0);
-  Sgd sgd(net.Params(), 0.1);
-  sgd.ZeroGrads();
-  for (ParamBlock& b : net.Params()) {
-    for (double g : *b.grads) EXPECT_EQ(g, 0.0);
-  }
 }
 
 TEST(OptimizerTest, StepAveragesOverBatch) {

@@ -56,12 +56,24 @@ Transition PerTransition(double feature) {
   return t;
 }
 
-PrioritizedSample FreshHandle(const PrioritizedReplayMemory& mem,
-                              size_t index) {
+// A current update handle for slot `index` after `adds` Adds into a ring of
+// `capacity` slots: Add number g (1-based) writes slot (g - 1) % capacity
+// and stamps it with generation g.
+PrioritizedSample FreshHandle(size_t index, uint64_t adds, size_t capacity) {
   PrioritizedSample s;
   s.index = index;
-  s.generation = mem.generation(index);
+  s.generation = adds - (adds - 1 - index) % capacity;
   return s;
+}
+
+// The generation stamp Sample reports for `slot` (drawn until it appears).
+uint64_t SampledGeneration(const PrioritizedReplayMemory& mem, size_t slot,
+                           Rng& rng) {
+  for (;;) {
+    for (const PrioritizedSample& s : mem.Sample(16, rng)) {
+      if (s.index == slot) return s.generation;
+    }
+  }
 }
 
 // Regression for the stale-index bug: a sample handle held across a ring
@@ -94,11 +106,12 @@ TEST(PrioritizedReplayBugTest, StaleHandleAcrossWrapIsRejected) {
 
 TEST(PrioritizedReplayBugTest, ReusedSlotGetsFreshGeneration) {
   PrioritizedReplayMemory mem(2);
+  Rng rng(9);
   mem.Add(PerTransition(1.0));
-  const uint64_t g0 = mem.generation(0);
+  const uint64_t g0 = SampledGeneration(mem, 0, rng);
   mem.Add(PerTransition(2.0));
   mem.Add(PerTransition(3.0));  // wraps into slot 0
-  EXPECT_NE(mem.generation(0), g0);
+  EXPECT_NE(SampledGeneration(mem, 0, rng), g0);
 }
 
 // The maintained sum tree must agree with a direct recomputation after an
@@ -111,7 +124,8 @@ TEST(PrioritizedReplayTreeTest, AggregatesMatchDirectScan) {
     if (!mem.empty() && step % 3 == 0) {
       size_t slot = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(mem.size()) - 1));
-      mem.UpdatePriority(FreshHandle(mem, slot), rng.Uniform(0.0, 5.0));
+      ASSERT_TRUE(mem.UpdatePriority(FreshHandle(slot, step + 1, 6),
+                                     rng.Uniform(0.0, 5.0)));
     }
     double sum = 0.0, mn = mem.priority(0);
     for (size_t i = 0; i < mem.size(); ++i) {
@@ -134,7 +148,7 @@ TEST(PrioritizedReplayTreeTest, SampleFrequenciesTrackPriorities) {
   const double priorities[5] = {1.0, 2.0, 4.0, 8.0, 1.0};
   for (int i = 0; i < 5; ++i) mem.Add(PerTransition(i));
   for (size_t i = 0; i < 5; ++i) {
-    mem.UpdatePriority(FreshHandle(mem, i), priorities[i]);
+    ASSERT_TRUE(mem.UpdatePriority(FreshHandle(i, 5, 5), priorities[i]));
   }
   Rng rng(13);
   const size_t draws = 40000;
@@ -153,7 +167,7 @@ TEST(PrioritizedReplayTreeTest, SampledIndicesAlwaysInRange) {
   // must never return a slot outside [0, size).
   PrioritizedReplayMemory mem(6);
   for (int i = 0; i < 3; ++i) mem.Add(PerTransition(i));  // size < capacity
-  mem.UpdatePriority(FreshHandle(mem, 2), 1e9);
+  mem.UpdatePriority(FreshHandle(2, 3, 6), 1e9);
   Rng rng(17);
   for (const PrioritizedSample& s : mem.Sample(2000, rng)) {
     ASSERT_LT(s.index, 3u);
@@ -197,6 +211,11 @@ TEST(DqnTest, GreedySelectsHighestQ) {
   size_t pick = agent.SelectGreedy(candidates);
   double best_q = agent.QValue(candidates[pick]);
   for (const Vec& c : candidates) EXPECT_GE(best_q, agent.QValue(c) - 1e-12);
+  // The batched pool scoring is bit-identical to one QValue per candidate.
+  Vec qs = agent.QValues(candidates);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    EXPECT_EQ(qs[i], agent.QValue(candidates[i]));
+  }
 }
 
 TEST(DqnTest, EpsilonOneIsUniformRandom) {
@@ -460,18 +479,6 @@ TEST(DqnBatchedTest, PrioritizedReplayLossIdenticalToScalar) {
 
 TEST(DqnBatchedTest, PrioritizedDoubleDqnLossIdenticalToScalar) {
   ExpectBatchedMatchesScalar(/*prioritized=*/true, /*double_dqn=*/true);
-}
-
-TEST(DqnBatchedTest, MatrixSelectGreedyMatchesVectorOverload) {
-  Rng rng(80);
-  DqnAgent agent(2, SmallOptions(), rng);
-  std::vector<Vec> candidates{Vec{0.1, 0.2}, Vec{0.5, -0.3}, Vec{0.9, 0.9}};
-  Matrix stacked = Matrix::FromRows(candidates);
-  EXPECT_EQ(agent.SelectGreedy(stacked), agent.SelectGreedy(candidates));
-  Vec qs = agent.QValues(candidates);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    EXPECT_EQ(qs[i], agent.QValue(candidates[i]));
-  }
 }
 
 }  // namespace

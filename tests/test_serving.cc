@@ -596,7 +596,7 @@ TEST(ShardedServingTest, ConcurrentClientThreadsReproduceTheReference) {
   });
   const size_t clients = 4;
   Status drained;  // written by task 0 only, read after the join below
-  ParallelFor(clients + 1, clients + 1, [&](size_t task) {
+  ParallelFor(clients + 1, clients + 1, [&](size_t, size_t task) {
     if (task == 0) {
       drained = sharded.WaitUntilDrained();
       queue.Close();
@@ -664,7 +664,7 @@ TEST(ShardedServingTest, ContendedBoundaryHammeringStaysBitIdentical) {
   });
   const size_t clients = 8;
   Status drained;  // written by task 0 only, read after the join below
-  ParallelFor(clients + 1, clients + 1, [&](size_t task) {
+  ParallelFor(clients + 1, clients + 1, [&](size_t, size_t task) {
     if (task == 0) {
       drained = sharded.WaitUntilDrained();
       queue.Close();
@@ -755,8 +755,10 @@ TEST(ShardedServingTest, SessionFinishedAtAdmissionDoesNotBlockTheDrain) {
   for (size_t i = 0; i < 4; ++i) {
     config.budget = budget;
     config.seed = SplitSeed(0xF1D, i);
-    sharded.Add(i == 1 ? trivial.StartSession(config)
-                       : roster.uh_simplex.StartSession(config));
+    InteractiveAlgorithm* algo =
+        i == 1 ? static_cast<InteractiveAlgorithm*>(&trivial)
+               : &roster.uh_simplex;
+    sharded.Add(algo->StartSession(config), algo);
   }
   EXPECT_EQ(sharded.active(), 3u);
   EXPECT_TRUE(sharded.TryCancel(1).ok());  // already finished: a no-op
@@ -804,7 +806,7 @@ std::vector<InteractionResult> ReferenceWithCancels(
   while (scheduler.active() > 0) {
     for (const PendingQuestion& pq : scheduler.Tick()) {
       if (++asked[pq.session_id] == cancel[pq.session_id]) {
-        scheduler.Cancel(pq.session_id);
+        EXPECT_TRUE(scheduler.TryCancel(pq.session_id).ok());
       } else {
         scheduler.PostAnswer(pq.session_id,
                              fleet.users[pq.session_id]->Ask(

@@ -469,7 +469,8 @@ TEST(SchedulerTest, CancelMidFlightAndMixedAlgorithms) {
     ++ticks;
     for (const PendingQuestion& pq : pending) {
       if (ticks == 2 && pq.session_id == 0) {
-        scheduler.Cancel(pq.session_id);  // user 0 walks away mid-episode
+        // User 0 walks away mid-episode.
+        ASSERT_TRUE(scheduler.TryCancel(pq.session_id).ok());
         continue;
       }
       scheduler.PostAnswer(pq.session_id,
@@ -597,7 +598,7 @@ TEST(SchedulerTest, CancellingARunnableSessionIsSkippedByTheNextTick) {
   Population pop(roster, budget, master);
   const size_t n = pop.scheduler.size();
   ASSERT_GT(n, 2u);
-  pop.scheduler.Cancel(0);  // runnable since Add, never asked
+  ASSERT_TRUE(pop.scheduler.TryCancel(0).ok());  // runnable, never asked
   EXPECT_TRUE(pop.scheduler.finished(0));
   EXPECT_EQ(pop.scheduler.active(), n - 1);
   std::vector<size_t> finished;
@@ -608,7 +609,8 @@ TEST(SchedulerTest, CancellingARunnableSessionIsSkippedByTheNextTick) {
     EXPECT_NE(pq.session_id, 0u);
     pop.Answer(pq);
   }
-  pop.scheduler.Cancel(2);  // runnable again: its answer was just posted
+  // Runnable again: its answer was just posted.
+  ASSERT_TRUE(pop.scheduler.TryCancel(2).ok());
   EXPECT_EQ(pop.scheduler.active(), n - 2);
   const std::vector<PendingQuestion> second = pop.scheduler.Tick(&finished);
   for (const PendingQuestion& pq : second) EXPECT_NE(pq.session_id, 2u);

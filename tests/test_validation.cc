@@ -1,4 +1,4 @@
-// Tests for data/stats and core/validation, plus end-to-end use of the
+// Tests for core/validation, plus end-to-end use of the
 // validators as an independent oracle over real EA/AA interactions.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "core/validation.h"
 #include "data/real_like.h"
 #include "data/skyline.h"
-#include "data/stats.h"
 #include "data/synthetic.h"
 #include "geometry/halfspace.h"
 #include "user/sampler.h"
@@ -15,68 +14,6 @@
 
 namespace isrl {
 namespace {
-
-// ---------- data/stats ----------
-
-TEST(StatsTest, AttributeStatsBasics) {
-  Dataset d(2);
-  d.Add(Vec{1.0, 10.0});
-  d.Add(Vec{3.0, 10.0});
-  AttributeStats s = ComputeAttributeStats(d, 0);
-  EXPECT_DOUBLE_EQ(s.mean, 2.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.max, 3.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 1.0);
-  // Constant attribute: zero spread.
-  EXPECT_DOUBLE_EQ(ComputeAttributeStats(d, 1).stddev, 0.0);
-}
-
-TEST(StatsTest, CorrelationSigns) {
-  Dataset pos(2), neg(2);
-  for (int i = 0; i < 20; ++i) {
-    pos.Add(Vec{static_cast<double>(i), static_cast<double>(2 * i)});
-    neg.Add(Vec{static_cast<double>(i), static_cast<double>(-i)});
-  }
-  EXPECT_NEAR(PearsonCorrelation(pos, 0, 1), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation(neg, 0, 1), -1.0, 1e-12);
-}
-
-TEST(StatsTest, ConstantAttributeHasZeroCorrelation) {
-  Dataset d(2);
-  d.Add(Vec{1.0, 5.0});
-  d.Add(Vec{2.0, 5.0});
-  EXPECT_DOUBLE_EQ(PearsonCorrelation(d, 0, 1), 0.0);
-}
-
-TEST(StatsTest, CorrelationMatrixSymmetricUnitDiagonal) {
-  Rng rng(1);
-  Dataset d = GenerateSynthetic(500, 4, Distribution::kAntiCorrelated, rng);
-  Matrix m = CorrelationMatrix(d);
-  for (size_t a = 0; a < 4; ++a) {
-    EXPECT_DOUBLE_EQ(m(a, a), 1.0);
-    for (size_t b = 0; b < 4; ++b) {
-      EXPECT_DOUBLE_EQ(m(a, b), m(b, a));
-      EXPECT_LE(std::abs(m(a, b)), 1.0 + 1e-12);
-    }
-  }
-}
-
-TEST(StatsTest, GeneratorFamiliesHaveExpectedFingerprints) {
-  Rng rng(2);
-  Dataset anti = GenerateSynthetic(4000, 3, Distribution::kAntiCorrelated, rng);
-  Dataset corr = GenerateSynthetic(4000, 3, Distribution::kCorrelated, rng);
-  Dataset ind = GenerateSynthetic(4000, 3, Distribution::kIndependent, rng);
-  EXPECT_LT(MeanPairwiseCorrelation(anti), -0.1);
-  EXPECT_GT(MeanPairwiseCorrelation(corr), 0.5);
-  EXPECT_NEAR(MeanPairwiseCorrelation(ind), 0.0, 0.1);
-}
-
-TEST(StatsTest, CarTradeOffIsNegative) {
-  Rng rng(3);
-  Dataset car = MakeCarDataset(rng, 3000);
-  // price-good vs mileage-good fight each other.
-  EXPECT_LT(PearsonCorrelation(car, 0, 1), -0.2);
-}
 
 // ---------- core/validation ----------
 

@@ -46,14 +46,12 @@ section 18) runs build/bench/registry_substrates:
   BM_TraceHarvest   N full EA episodes   args: {sessions, mode}
                     mode 0 = no harvest sink, 1 = TraceStore harvesting
 
---suite geometry (incremental convex geometry and warm-started LP;
+--suite geometry (incremental convex geometry and shared-phase-1 LPs;
 DESIGN.md section 17) runs build/bench/geo_substrates instead:
   BM_GeoCutSequence   12-cut session on UnitSimplex(d)  args: {d, mode}
                       mode 0 = full re-enumeration per cut, 1 = adjacency
   BM_GeoAaGeometry    AA rectangle's 2d extent LPs      args: {d, mode}
                       mode 0 = independent LPs, 1 = shared-phase-1 family
-  BM_GeoExtremeSweep  extreme-point sweep over n points args: {n, mode}
-                      mode 0 = cold LP per query, 1 = shared model + warm
 plus one single-path row with no baseline twin:
   BM_GeoComputeAaGeometry  the whole AA geometry (inner-sphere LP + 2d
                       rectangle LPs) on session-shaped H  args: {d, |H|}
@@ -230,10 +228,6 @@ SUITES = {
                 "mode_arg": 1,
                 "label": lambda rest: f"d{rest[0]}",
             },
-            "BM_GeoExtremeSweep": {
-                "mode_arg": 1,
-                "label": lambda rest: f"n{rest[0]}",
-            },
             "BM_GeoComputeAaGeometry": {
                 "single": True,
                 "label": lambda args: f"d{args[0]}_h{args[1]}",
@@ -243,15 +237,13 @@ SUITES = {
         "variant_field": "incremental_cpu_ns",
         "note": "speedup = rebuild_cpu_ns / incremental_cpu_ns; the "
         "baseline is the seed path (full vertex re-enumeration per cut / "
-        "independent rectangle LPs / a cold LP per extreme-point query), "
-        "the variant maintains state across solves (vertex-facet adjacency "
-        "/ shared simplex phase 1 / warm-started bases). Both paths "
-        "produce identical results: bit-identical vertices and AA "
-        "geometry, identical extreme-point verdicts (DESIGN.md "
-        "section 17). BM_GeoComputeAaGeometry rows time one path, "
-        "ComputeAaGeometry's 2d+1 LPs at d x |H|, as cpu_ns; the checked-in "
-        "table adds parent_cpu_ns, the same row built against the parent "
-        "commit's src/ and run on the same host, and "
+        "independent rectangle LPs), the variant maintains state across "
+        "solves (vertex-facet adjacency / shared simplex phase 1). Both "
+        "paths produce identical results: bit-identical vertices and AA "
+        "geometry (DESIGN.md section 17). BM_GeoComputeAaGeometry rows "
+        "time one path, ComputeAaGeometry's 2d+1 LPs at d x |H|, as "
+        "cpu_ns; the checked-in table adds parent_cpu_ns, the same row "
+        "built against the parent commit's src/ and run on the same host, and "
         "speedup_vs_parent = parent_cpu_ns / cpu_ns",
     },
 }
