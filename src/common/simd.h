@@ -27,7 +27,9 @@
 // boundary is ever crossed. Plain `inline` is not enough: an unoptimised
 // build (Debug, or the -O0 sanitizer lanes) emits them as out-of-line
 // default-target functions, and an AVX2 clone then passes its 32-byte
-// vectors across a mismatched ABI and SEGVs in LoadV4.
+// vectors across a mismatched ABI and SEGVs in LoadV4. Vector arguments go
+// by const reference, which -Wpsabi never flags; the by-value returns of
+// LoadV4/SplatV4 still need the pragma, even at -O2.
 #if !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wpsabi"
 #endif
@@ -43,7 +45,7 @@ typedef int64_t I4 __attribute__((vector_size(32), aligned(8)));  // NOLINT
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
 }
-[[gnu::always_inline]] inline void StoreV4(double* p, V4 v) {
+[[gnu::always_inline]] inline void StoreV4(double* p, const V4& v) {
   __builtin_memcpy(p, &v, sizeof(v));
 }
 [[gnu::always_inline]] inline V4 SplatV4(double v) {

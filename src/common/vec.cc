@@ -95,10 +95,4 @@ bool ApproxEqual(const Vec& a, const Vec& b, double tol) {
   return true;
 }
 
-Vec Concat(const Vec& a, const Vec& b) {
-  Vec out = a;
-  out.Append(b);
-  return out;
-}
-
 }  // namespace isrl

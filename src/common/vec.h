@@ -84,8 +84,6 @@ double Dot(const Vec& a, const Vec& b);
 double Distance(const Vec& a, const Vec& b);
 /// True when ‖a−b‖∞ ≤ tol.
 bool ApproxEqual(const Vec& a, const Vec& b, double tol = 1e-9);
-/// Concatenation of `a` and `b`.
-Vec Concat(const Vec& a, const Vec& b);
 
 }  // namespace isrl
 

@@ -48,7 +48,8 @@ class Aa : public InteractiveAlgorithm {
   /// the live serving snapshot is NOT shared (see Ea's copy constructor).
   Aa(const Aa& other);
 
-  /// Algorithm 3: one ε-greedy training episode per utility vector.
+  /// Algorithm 3: one ε-greedy training episode per utility vector, played
+  /// through the serving Session (core/episode_engine.h).
   TrainStats Train(const std::vector<Vec>& training_utilities);
 
   std::string name() const override { return "AA"; }
@@ -100,14 +101,15 @@ class Aa : public InteractiveAlgorithm {
 
  private:
   class Session;
+  template <typename Algorithm>
+  friend TrainStats TrainEpisodes(Algorithm& algorithm,
+                                  const std::vector<Vec>& utilities);
+  template <typename Derived, typename Algorithm>
+  friend class RlSession;
 
-  Vec FeaturizeAction(const AaAction& action) const;
-  std::vector<Vec> FeaturizeCandidates(const Vec& state,
-                                       const std::vector<AaAction>& actions) const;
-  /// Row-stacked candidate features for the batched inference path (see
-  /// Ea::FeaturizeCandidatesMatrix).
-  Matrix FeaturizeCandidatesMatrix(const Vec& state,
-                                   const std::vector<AaAction>& actions) const;
+  /// Row-stacked candidate features (see Ea::FeaturizeCandidates).
+  Matrix FeaturizeCandidates(const Vec& state,
+                             const std::vector<AaAction>& actions) const;
   /// Top point w.r.t. the rectangle midpoint (e_min + e_max)/2.
   size_t MidpointBest(const AaGeometry& geometry) const;
 

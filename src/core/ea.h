@@ -55,7 +55,8 @@ class Ea : public InteractiveAlgorithm {
   /// inference scratch is never shared across evaluation threads.
   Ea(const Ea& other);
 
-  /// Algorithm 1: one ε-greedy training episode per utility vector.
+  /// Algorithm 1: one ε-greedy training episode per utility vector, played
+  /// through the serving Session (core/episode_engine.h).
   TrainStats Train(const std::vector<Vec>& training_utilities);
 
   std::string name() const override { return "EA"; }
@@ -111,6 +112,11 @@ class Ea : public InteractiveAlgorithm {
 
  private:
   class Session;
+  template <typename Algorithm>
+  friend TrainStats TrainEpisodes(Algorithm& algorithm,
+                                  const std::vector<Vec>& utilities);
+  template <typename Derived, typename Algorithm>
+  friend class RlSession;
 
   /// One round's decision basis: a terminal certificate, candidate actions,
   /// or a stall (degenerate data — no winners and no questions left).
@@ -122,14 +128,10 @@ class Ea : public InteractiveAlgorithm {
   };
 
   RoundPlan PlanRound(const Polyhedron& range, Rng& rng);
-  Vec FeaturizeAction(const EaAction& action) const;
-  std::vector<Vec> FeaturizeCandidates(const Vec& state,
-                                       const std::vector<EaAction>& actions) const;
-  /// Row-stacked candidate features for the batched inference path: the
-  /// greedy round scores all actions with one GEMM instead of |actions|
-  /// scalar forwards, and skips the per-candidate Vec concatenations.
-  Matrix FeaturizeCandidatesMatrix(const Vec& state,
-                                   const std::vector<EaAction>& actions) const;
+  /// Row-stacked candidate features (core/episode_engine.h): the round
+  /// scores all actions with one GEMM.
+  Matrix FeaturizeCandidates(const Vec& state,
+                             const std::vector<EaAction>& actions) const;
 
   const Dataset& data_;
   EaOptions options_;

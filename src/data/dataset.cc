@@ -25,8 +25,9 @@ constexpr size_t kGroup = 8;
 // Lane j of a V4 keeps the best score its points have reached and the block
 // it came from. Strict `>` keeps the first block on ties and never takes a
 // NaN; `live` masks the zero padding of the last block.
-[[gnu::always_inline]] inline void KeepBest(V4 score, I4 live, I4 block,
-                                            V4* best, I4* at) {
+[[gnu::always_inline]] inline void KeepBest(const V4& score, const I4& live,
+                                            const I4& block, V4* best,
+                                            I4* at) {
   const I4 take = reinterpret_cast<I4>(score > *best) & live;
   *best = reinterpret_cast<V4>((take & reinterpret_cast<I4>(score)) |
                                (~take & reinterpret_cast<I4>(*best)));
@@ -37,7 +38,8 @@ constexpr size_t kGroup = 8;
 template <size_t U>
 [[gnu::always_inline]] inline void ScoreBlock(const double* block, size_t d,
                                               const Vec* utilities,
-                                              const I4 live[4], I4 block_tag,
+                                              const I4 live[4],
+                                              const I4& block_tag,
                                               V4 (*best)[4], I4 (*at)[4]) {
   V4 score[U][4] = {};
   for (size_t k = 0; k < d; ++k) {

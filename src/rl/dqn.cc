@@ -55,14 +55,15 @@ Vec DqnAgent::QValues(const std::vector<Vec>& candidate_features) {
   return main_.PredictBatch(candidate_features);
 }
 
-size_t DqnAgent::SelectEpsilonGreedy(
-    const std::vector<Vec>& candidate_features, double epsilon, Rng& rng) {
-  ISRL_CHECK(!candidate_features.empty());
+size_t DqnAgent::SelectEpsilonGreedy(const Matrix& candidate_features,
+                                     double epsilon, Rng& rng) {
+  ISRL_CHECK_GT(candidate_features.rows(), 0u);
   if (rng.Bernoulli(epsilon)) {
     return static_cast<size_t>(rng.UniformInt(
-        0, static_cast<int64_t>(candidate_features.size()) - 1));
+        0, static_cast<int64_t>(candidate_features.rows()) - 1));
   }
-  return SelectGreedy(candidate_features);
+  ISRL_CHECK_EQ(candidate_features.cols(), input_dim_);
+  return main_.PredictBatch(candidate_features).ArgMax();
 }
 
 double DqnAgent::EpsilonAt(size_t episode) const {

@@ -84,10 +84,11 @@ class DqnAgent {
     return QValues(candidate_features).ArgMax();
   }
 
-  /// ε-greedy: uniform-random candidate with probability `epsilon`, greedy
-  /// otherwise.
-  size_t SelectEpsilonGreedy(const std::vector<Vec>& candidate_features,
-                             double epsilon, Rng& rng);
+  /// ε-greedy over row-stacked candidate features (one row per candidate):
+  /// a uniform-random row with probability `epsilon`, else the row with the
+  /// largest main-network Q-value from one batched inference pass.
+  size_t SelectEpsilonGreedy(const Matrix& candidate_features, double epsilon,
+                             Rng& rng);
 
   /// Current ε for episode `episode` under the configured schedule.
   double EpsilonAt(size_t episode) const;

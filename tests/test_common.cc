@@ -60,15 +60,13 @@ TEST(VecTest, ArgMaxFirstOnTies) {
   EXPECT_EQ(a.ArgMax(), 1u);
 }
 
-TEST(VecTest, AppendAndConcat) {
+TEST(VecTest, AppendAndPushBack) {
   Vec a{1.0, 2.0};
   Vec b{3.0};
   a.Append(b);
   EXPECT_TRUE(ApproxEqual(a, Vec{1.0, 2.0, 3.0}));
   a.PushBack(4.0);
   EXPECT_EQ(a.dim(), 4u);
-  Vec c = Concat(Vec{1.0}, Vec{2.0, 3.0});
-  EXPECT_TRUE(ApproxEqual(c, Vec{1.0, 2.0, 3.0}));
 }
 
 TEST(VecTest, ApproxEqualRespectsTolerance) {

@@ -221,7 +221,7 @@ TEST(DqnTest, GreedySelectsHighestQ) {
 TEST(DqnTest, EpsilonOneIsUniformRandom) {
   Rng rng(5);
   DqnAgent agent(1, SmallOptions(), rng);
-  std::vector<Vec> candidates{Vec{0.0}, Vec{1.0}, Vec{2.0}};
+  const Matrix candidates = Matrix::FromRows({Vec{0.0}, Vec{1.0}, Vec{2.0}});
   std::vector<int> counts(3, 0);
   for (int i = 0; i < 3000; ++i) {
     counts[agent.SelectEpsilonGreedy(candidates, 1.0, rng)]++;
@@ -235,7 +235,8 @@ TEST(DqnTest, EpsilonZeroIsGreedy) {
   std::vector<Vec> candidates{Vec{0.3}, Vec{-0.8}};
   size_t greedy = agent.SelectGreedy(candidates);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(agent.SelectEpsilonGreedy(candidates, 0.0, rng), greedy);
+    EXPECT_EQ(agent.SelectEpsilonGreedy(Matrix::FromRows(candidates), 0.0, rng),
+              greedy);
   }
 }
 

@@ -62,6 +62,12 @@ Rules (see DESIGN.md section 11):
                 ThreadSanitizer ifunc gate (DESIGN.md section 16) and the
                 FMA-free clone list; a hand-written attribute would bypass
                 both.
+  train-loop    a Remember( or EpsilonAt( call under src/ outside src/rl/
+                and src/core/episode_engine.h. Training has one loop,
+                TrainEpisodes, which drives the serving session (DESIGN.md
+                section 13); a replay write or an exploration-schedule read
+                anywhere else is a second training loop in the making, one
+                the session's degradation paths and budgets never reach.
 
 Usage: tools/lint.py [paths...]   (defaults to src/)
 Exit status is the number of findings (0 == clean).
@@ -212,6 +218,14 @@ RAW_TARGET_RE = re.compile(
     r"(?<![\w.>])(?:__)?target(?:_clones)?(?:__)?\s*\(\s*\"\""
     r"|\btarget_clones\b"
 )
+
+# One-loop discipline (DESIGN.md section 13): the replay buffer and the
+# exploration schedule are fed only by the DQN itself and by the one
+# training loop, TrainEpisodes, which plays episodes through the serving
+# session.
+TRAIN_LOOP_SCOPE = "src/"
+TRAIN_LOOP_ALLOWED = ("src/rl/", "src/core/episode_engine.h")
+TRAIN_LOOP_RE = re.compile(r"(?<![\w])(?:Remember|EpsilonAt)\s*\(")
 
 SUPPRESS_TOKEN = "float-eq-ok"
 
@@ -382,6 +396,23 @@ def lint_file(path: Path) -> list:
                     "raw network/agent reference in serving-side code; "
                     "pin an immutable nn::ModelSnapshot from the "
                     "ModelRegistry instead (DESIGN.md section 18)",
+                )
+            )
+
+        if (
+            rel.startswith(TRAIN_LOOP_SCOPE)
+            and not rel.startswith(TRAIN_LOOP_ALLOWED)
+            and TRAIN_LOOP_RE.search(code)
+        ):
+            findings.append(
+                (
+                    rel,
+                    lineno,
+                    "train-loop",
+                    "replay write or exploration-schedule read outside the "
+                    "one training loop; train through TrainEpisodes in "
+                    "core/episode_engine.h, which drives the serving "
+                    "session (DESIGN.md section 13)",
                 )
             )
 
